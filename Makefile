@@ -108,7 +108,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadWeights -fuzztime=$(FUZZTIME) ./internal/topo/
 	$(GO) test -fuzz=FuzzCanonicalKey -fuzztime=$(FUZZTIME) ./internal/selection/
 	$(GO) test -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME) ./internal/agent/
-	$(GO) test -fuzz=FuzzWireRoundTrip -fuzztime=$(FUZZTIME) ./internal/agent/
 	$(GO) test -fuzz=FuzzBatchFrame -fuzztime=$(FUZZTIME) ./internal/agent/
 	$(GO) test -fuzz=FuzzBatchRoundTrip -fuzztime=$(FUZZTIME) ./internal/agent/
 	$(GO) test -fuzz=FuzzPeerFrame -fuzztime=$(FUZZTIME) ./internal/cluster/

@@ -10,8 +10,8 @@
 //     nil-handle no-ops, /metrics render) → BENCH_obs.json; the *Nil
 //     variants prove the unobserved cost is a single nil check
 //   - agent: the measurement collection plane over real TCP →
-//     BENCH_agent.json; the batched streaming plane against its per-line
-//     JSON *Serial baseline on the same monitor panel
+//     BENCH_agent.json; one batched StreamNOC epoch over a 4×128 monitor
+//     panel
 //   - loss: the multicast loss-tomography MLE → BENCH_loss.json; the
 //     incremental per-epoch update against its from-scratch batch *Fresh
 //     baseline
@@ -21,9 +21,9 @@
 //     ring lookup and peer codec microbenchmarks and the hedge-win rate
 //     per forwarded op
 //
-// Each benchmark is paired with its baseline reference — a *Serial variant
-// (one worker / per-line plane) or a *Fresh variant (from-scratch-per-epoch
-// LSR) — and the derived speedup is recorded alongside ns/op, B/op,
+// A benchmark with a baseline reference — a *Serial variant (one worker)
+// or a *Fresh variant (from-scratch-per-epoch LSR) — is paired with it,
+// and the derived speedup is recorded alongside ns/op, B/op,
 // allocs/op, the allocation ratio for Fresh pairs, and — for benchmarks
 // that report a "panel" or "frames" metric — the throughput in
 // scenarios/second or path-frames/second.
@@ -91,7 +91,7 @@ var suites = map[string]struct {
 	// the iteration counts meaningful without taking minutes.
 	"agent": {
 		out:       "BENCH_agent.json",
-		pattern:   "^(BenchmarkCollectFrames|BenchmarkCollectFramesSerial)$",
+		pattern:   "^BenchmarkCollectFrames$",
 		packages:  []string{"./internal/agent/"},
 		benchtime: "1s",
 	},

@@ -19,11 +19,10 @@ type Entry struct {
 	// ScenariosPerSecond is Panel / (NsPerOp in seconds): how many
 	// scenario evaluations per second one op sustains.
 	ScenariosPerSecond float64 `json:"scenarios_per_second,omitempty"`
-	// Frames is the per-op wire-message count the collection-plane
-	// benchmarks report via the "frames" metric, normalized to the
-	// per-line baseline's one-frame-per-path framing so batched and
-	// per-line planes are directly comparable; zero when the benchmark
-	// doesn't report one.
+	// Frames is the per-op path-frame count the collection-plane
+	// benchmark reports via the "frames" metric, one per path collected,
+	// so frames/sec stays comparable with the history in BENCH_agent.json;
+	// zero when the benchmark doesn't report one.
 	Frames float64 `json:"frames,omitempty"`
 	// FramesPerSecond is Frames / (NsPerOp in seconds): the sustained
 	// path-frame throughput of one collection epoch.

@@ -22,16 +22,14 @@ func runCollect(args []string) error {
 	epochs := fs.Int("epochs", 12, "epochs to run")
 	killEpoch := fs.Int("kill-epoch", 4, "epoch at which one monitor is killed (-1: never)")
 	retries := fs.Int("retries", 2, "max connection attempts per monitor per epoch")
-	backoff := fs.Duration("backoff", 5*time.Millisecond, "base retry backoff")
 	threshold := fs.Int("breaker-threshold", 3, "consecutive failures before the breaker opens")
 	cooldown := fs.Duration("cooldown", 100*time.Millisecond, "breaker cool-down before a half-open probe")
 	failFast := fs.Bool("fail-fast", false, "abort degraded epochs instead of keeping partial data")
 	strict := fs.Bool("strict", false, "exit non-zero if the final epoch was degraded")
 	seed := fs.Uint64("seed", 2014, "random seed")
-	stream := fs.Bool("stream", false, "use the batched streaming plane instead of per-line JSON")
-	shards := fs.Int("shards", 0, "streaming session-table shards (0: default; needs -stream)")
-	watermark := fs.Duration("watermark", 0, "streaming epoch watermark (0: default; needs -stream)")
-	encoding := fs.String("batch-encoding", "binary", "streaming frame encoding: binary or json (needs -stream)")
+	shards := fs.Int("shards", 0, "NOC session-table shards (0: default)")
+	watermark := fs.Duration("watermark", 0, "epoch watermark: how long an epoch waits for missing results (0: default 2s)")
+	encoding := fs.String("batch-encoding", "binary", "probe frame encoding: binary or json")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -46,12 +44,10 @@ func runCollect(args []string) error {
 	d, err := newDemoLoop(demoConfig{
 		Horizon:   *epochs,
 		Retries:   *retries,
-		Backoff:   *backoff,
 		Threshold: *threshold,
 		Cooldown:  *cooldown,
 		FailFast:  *failFast,
 		Seed:      *seed,
-		Stream:    *stream,
 		Shards:    *shards,
 		Watermark: *watermark,
 		Encoding:  enc,
@@ -61,12 +57,8 @@ func runCollect(args []string) error {
 	}
 	defer d.Close()
 
-	plane := "per-line JSON"
-	if *stream {
-		plane = fmt.Sprintf("streaming %s frames", enc)
-	}
-	fmt.Printf("fault-tolerant collection on %s: %d monitors, %d selected paths, %d epochs (%s)\n",
-		d.Ex.Graph, len(d.Addrs), len(d.Runner.StaticSelection()), *epochs, plane)
+	fmt.Printf("fault-tolerant collection on %s: %d monitors, %d selected paths, %d epochs (%s frames)\n",
+		d.Ex.Graph, len(d.Addrs), len(d.Runner.StaticSelection()), *epochs, enc)
 	if *killEpoch >= 0 {
 		fmt.Printf("monitor %s dies before epoch %d (retries %d, breaker threshold %d, cooldown %v)\n",
 			d.Victim, *killEpoch, *retries, *threshold, *cooldown)

@@ -21,7 +21,6 @@ import (
 type demoConfig struct {
 	Horizon   int // epochs the failure schedule covers
 	Retries   int
-	Backoff   time.Duration
 	Threshold int
 	Cooldown  time.Duration
 	FailFast  bool
@@ -30,11 +29,7 @@ type demoConfig struct {
 	// Observer, when non-nil, instruments every layer of the loop.
 	Observer *obs.Registry
 
-	// Stream swaps the per-line JSON NOC for the batched streaming plane
-	// (sharded sessions, watermark epoch assembly); the knobs below only
-	// apply then.
-	Stream bool
-	// Shards is the streaming session-table shard count (0: the plane's
+	// Shards is the NOC's session-table shard count (0: the plane's
 	// default).
 	Shards int
 	// Watermark bounds how long an epoch waits for missing results before
@@ -44,14 +39,12 @@ type demoConfig struct {
 	Encoding agent.Encoding
 }
 
-// demoLoop owns the wired-up components of the demo. Exactly one of NOC
-// (per-line JSON plane) and Stream (batched streaming plane) is non-nil.
+// demoLoop owns the wired-up components of the demo.
 type demoLoop struct {
 	Ex       *topo.Example
 	PM       *tomo.PathMatrix
 	Runner   *sim.Runner
-	NOC      *agent.NOC
-	Stream   *agent.StreamNOC
+	NOC      *agent.StreamNOC
 	Monitors map[string]*agent.Monitor
 	Addrs    map[string]string
 	// Victim is the monitor whose death costs measurements: the source of
@@ -137,65 +130,29 @@ func newDemoLoop(cfg demoConfig) (*demoLoop, error) {
 		d.Victim = names[0]
 	}
 
-	retry := agent.RetryPolicy{MaxAttempts: cfg.Retries, BaseBackoff: cfg.Backoff, MaxBackoff: 20 * cfg.Backoff, Multiplier: 2, Jitter: 0.5}
-	breaker := agent.BreakerPolicy{FailureThreshold: cfg.Threshold, Cooldown: cfg.Cooldown}
-	timeouts := agent.Timeouts{Dial: 250 * time.Millisecond, Exchange: 2 * time.Second}
-
-	var collector sim.Collector
-	if cfg.Stream {
-		s, err := agent.NewStreamNOC(agent.StreamConfig{
-			PM:        pm,
-			Monitors:  d.Addrs,
-			SourceOf:  d.SrcOf,
-			Shards:    cfg.Shards,
-			Watermark: cfg.Watermark,
-			Encoding:  cfg.Encoding,
-			Retry:     retry,
-			Breaker:   breaker,
-			Timeouts:  timeouts,
-			FailFast:  cfg.FailFast,
-			Seed:      cfg.Seed,
-			Observer:  cfg.Observer,
-		})
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.Stream = s
-		collector = s
-	} else {
-		ncfg := agent.DefaultNOCConfig()
-		ncfg.PM = pm
-		ncfg.Monitors = d.Addrs
-		ncfg.SourceOf = d.SrcOf
-		ncfg.Retry = retry
-		ncfg.Breaker = breaker
-		ncfg.Timeouts = timeouts
-		ncfg.FailFast = cfg.FailFast
-		ncfg.Seed = cfg.Seed
-		ncfg.Observer = cfg.Observer
-		noc, err := agent.NewNOC(ncfg)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.NOC = noc
-		collector = noc
+	noc, err := agent.NewStreamNOC(agent.StreamConfig{
+		PM:        pm,
+		Monitors:  d.Addrs,
+		SourceOf:  d.SrcOf,
+		Shards:    cfg.Shards,
+		Watermark: cfg.Watermark,
+		Encoding:  cfg.Encoding,
+		Retry:     agent.RetryPolicy{MaxAttempts: cfg.Retries},
+		Breaker:   agent.BreakerPolicy{FailureThreshold: cfg.Threshold, Cooldown: cfg.Cooldown},
+		Timeouts:  agent.Timeouts{Dial: 250 * time.Millisecond, Exchange: 2 * time.Second},
+		FailFast:  cfg.FailFast,
+		Observer:  cfg.Observer,
+	})
+	if err != nil {
+		d.Close()
+		return nil, err
 	}
-	if err := runner.UseCollector(collector); err != nil {
+	d.NOC = noc
+	if err := runner.UseCollector(noc); err != nil {
 		d.Close()
 		return nil, err
 	}
 	return d, nil
-}
-
-// BreakerStates reports the per-monitor breaker states of whichever
-// collection plane the loop runs.
-func (d *demoLoop) BreakerStates() map[string]agent.BreakerState {
-	if d.Stream != nil {
-		return d.Stream.BreakerStates()
-	}
-	return d.NOC.BreakerStates()
 }
 
 // SrcOf maps a path index to its source monitor's name.
@@ -209,7 +166,7 @@ func (d *demoLoop) KillVictim() { d.Monitors[d.Victim].Close() }
 // sorted by monitor name.
 func (d *demoLoop) BreakerLine() string {
 	states := make([]string, 0, len(d.Monitors))
-	for name, st := range d.BreakerStates() {
+	for name, st := range d.NOC.BreakerStates() {
 		states = append(states, fmt.Sprintf("%s=%s", name, st))
 	}
 	sort.Strings(states)
@@ -228,9 +185,6 @@ func (d *demoLoop) BreakerLine() string {
 func (d *demoLoop) Close() {
 	if d.NOC != nil {
 		d.NOC.Close()
-	}
-	if d.Stream != nil {
-		d.Stream.Close()
 	}
 	for _, m := range d.Monitors {
 		m.Close()

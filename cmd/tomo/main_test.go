@@ -114,7 +114,7 @@ func TestRunCollect(t *testing.T) {
 	// Full arc: healthy epochs, monitor killed mid-run, degraded epochs,
 	// breaker opening — and the loop still completes.
 	if err := run([]string{"collect", "-epochs", "6", "-kill-epoch", "2",
-		"-backoff", "1ms", "-cooldown", "50ms"}); err != nil {
+		"-cooldown", "50ms"}); err != nil {
 		t.Fatal(err)
 	}
 	// No kill: every epoch healthy.
@@ -123,11 +123,14 @@ func TestRunCollect(t *testing.T) {
 	}
 	// FailFast mode reports degraded epochs but the command still succeeds.
 	if err := run([]string{"collect", "-epochs", "4", "-kill-epoch", "1",
-		"-backoff", "1ms", "-fail-fast"}); err != nil {
+		"-fail-fast"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"collect", "-epochs", "0"}); err == nil {
 		t.Fatal("zero epochs accepted")
+	}
+	if err := run([]string{"collect", "-stream"}); err == nil {
+		t.Fatal("removed -stream flag accepted")
 	}
 }
 
@@ -135,7 +138,7 @@ func TestRunCollectStrict(t *testing.T) {
 	// A monitor killed with a long breaker cooldown leaves the final epoch
 	// degraded: -strict turns that into a non-zero exit.
 	err := run([]string{"collect", "-epochs", "5", "-kill-epoch", "1",
-		"-backoff", "1ms", "-cooldown", "1h", "-strict"})
+		"-cooldown", "1h", "-strict"})
 	if err == nil {
 		t.Fatal("strict mode accepted a degraded final epoch")
 	}
@@ -149,7 +152,7 @@ func TestRunCollectStrict(t *testing.T) {
 	// In fail-fast mode the degraded final epoch surfaces as a step error;
 	// strict treats that as a failure too.
 	if err := run([]string{"collect", "-epochs", "4", "-kill-epoch", "2",
-		"-backoff", "1ms", "-cooldown", "1h", "-fail-fast", "-strict"}); err == nil {
+		"-cooldown", "1h", "-fail-fast", "-strict"}); err == nil {
 		t.Fatal("strict + fail-fast accepted a failing final epoch")
 	}
 }

@@ -34,7 +34,6 @@ type serveConfig struct {
 	KillEpoch int // -1: never
 	Mode      sim.Mode
 	Retries   int
-	Backoff   time.Duration
 	Threshold int
 	Cooldown  time.Duration
 	Seed      uint64
@@ -106,6 +105,11 @@ type server struct {
 	done     bool // loop finished (horizon or MaxEpochs reached)
 	lastRep  sim.EpochReport
 	degraded int
+	// breakers are the per-monitor breaker states as the last epoch left
+	// them, recorded with lastRep: a breaker trips inside an epoch, before
+	// its report exists, so reading the NOC live would let /healthz flip
+	// while /statusz still shows the previous epoch.
+	breakers map[string]agent.BreakerState
 }
 
 // newServer wires the loop, the registry and the HTTP surface, and binds
@@ -122,7 +126,6 @@ func newServer(cfg serveConfig) (*server, error) {
 	d, err := newDemoLoop(demoConfig{
 		Horizon:   horizon,
 		Retries:   cfg.Retries,
-		Backoff:   cfg.Backoff,
 		Threshold: cfg.Threshold,
 		Cooldown:  cfg.Cooldown,
 		Seed:      cfg.Seed,
@@ -226,11 +229,13 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = s.reg.WritePrometheus(w)
 }
 
-// openBreakers returns the monitors whose circuit breaker is currently
-// open, sorted by name.
+// openBreakers returns the monitors whose circuit breaker the last epoch
+// left open, sorted by name.
 func (s *server) openBreakers() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var open []string
-	for name, st := range s.d.BreakerStates() {
+	for name, st := range s.breakers {
 		if st == agent.BreakerOpen {
 			open = append(open, name)
 		}
@@ -290,14 +295,14 @@ func (s *server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		Degraded:       rep.Collection.Degraded,
 		DegradedEpochs: s.degraded,
 		LoopDone:       s.done,
+		Monitors:       make(map[string]string, len(s.breakers)),
+	}
+	for name, bs := range s.breakers {
+		st.Monitors[name] = bs.String()
 	}
 	s.mu.Unlock()
 	if s.cfg.Mode == sim.Learning {
 		st.Mode = "learning"
-	}
-	st.Monitors = map[string]string{}
-	for name, bs := range s.d.BreakerStates() {
-		st.Monitors[name] = bs.String()
 	}
 	st.RecentEvents = s.reg.Events()
 	w.Header().Set("Content-Type", "application/json")
@@ -329,9 +334,11 @@ func (s *server) loop(ctx context.Context) {
 			s.reg.Event("serve.loop_error", err.Error())
 			break
 		}
+		breakers := s.d.NOC.BreakerStates()
 		s.mu.Lock()
 		s.ready = true
 		s.lastRep = rep
+		s.breakers = breakers
 		if rep.Collection.Degraded {
 			s.degraded++
 		}
@@ -426,7 +433,6 @@ func runServe(args []string, out io.Writer) error {
 	killEpoch := fs.Int("kill-epoch", -1, "epoch at which one monitor is killed (-1: never)")
 	mode := fs.String("mode", "static", "static (known distribution) or learning")
 	retries := fs.Int("retries", 2, "max connection attempts per monitor per epoch")
-	backoff := fs.Duration("backoff", 5*time.Millisecond, "base retry backoff")
 	threshold := fs.Int("breaker-threshold", 3, "consecutive failures before the breaker opens")
 	cooldown := fs.Duration("cooldown", 10*time.Second, "breaker cool-down before a half-open probe")
 	seed := fs.Uint64("seed", 2014, "random seed")
@@ -457,7 +463,6 @@ func runServe(args []string, out io.Writer) error {
 		KillEpoch: *killEpoch,
 		Mode:      simMode,
 		Retries:   *retries,
-		Backoff:   *backoff,
 		Threshold: *threshold,
 		Cooldown:  *cooldown,
 		Seed:      *seed,

@@ -25,7 +25,6 @@ func testServeConfig() serveConfig {
 		KillEpoch: 3,
 		Mode:      sim.Static,
 		Retries:   1,
-		Backoff:   time.Millisecond,
 		Threshold: 1,
 		Cooldown:  time.Hour,
 		Seed:      2014,
@@ -206,5 +205,8 @@ func TestRunServeFlags(t *testing.T) {
 	}
 	if err := runServe([]string{"-not-a-flag"}, io.Discard); err == nil {
 		t.Fatal("unknown flag accepted")
+	}
+	if err := runServe([]string{"-backoff", "1ms"}, io.Discard); err == nil {
+		t.Fatal("removed -backoff flag accepted")
 	}
 }

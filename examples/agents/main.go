@@ -61,7 +61,7 @@ func run() error {
 		fmt.Printf("monitor %s listening on %s\n", name, mon.Addr())
 	}
 
-	noc, err := robusttomo.NewNOC(robusttomo.NOCConfig{
+	noc, err := robusttomo.NewStreamNOC(robusttomo.StreamConfig{
 		PM:       pm,
 		Monitors: addrs,
 		SourceOf: func(path int) string { return ex.Graph.Label(pm.Path(path).Src) },
@@ -69,6 +69,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer noc.Close()
 
 	selected := make([]int, pm.NumPaths())
 	for i := range selected {

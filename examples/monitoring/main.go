@@ -167,14 +167,17 @@ func faultTolerantCollection() error {
 		addrs[name] = mon.Addr()
 	}
 
-	cfg := robusttomo.DefaultNOCConfig()
-	cfg.PM = pm
-	cfg.Monitors = addrs
-	cfg.SourceOf = func(p int) string { return ex.Graph.Label(pm.Path(p).Src) }
-	cfg.Retry = robusttomo.RetryPolicy{MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond, Multiplier: 2, Jitter: 0.5}
-	cfg.Breaker = robusttomo.BreakerPolicy{FailureThreshold: 2, Cooldown: 200 * time.Millisecond}
-	cfg.Timeouts = robusttomo.CollectorTimeouts{Dial: 250 * time.Millisecond, Exchange: 2 * time.Second}
-	noc, err := robusttomo.NewNOC(cfg)
+	noc, err := robusttomo.NewStreamNOC(robusttomo.StreamConfig{
+		PM:       pm,
+		Monitors: addrs,
+		SourceOf: func(p int) string { return ex.Graph.Label(pm.Path(p).Src) },
+		// A probe written just as its monitor dies goes unanswered; the
+		// watermark bounds how long that epoch waits for it.
+		Watermark: 250 * time.Millisecond,
+		Retry:     robusttomo.RetryPolicy{MaxAttempts: 2},
+		Breaker:   robusttomo.BreakerPolicy{FailureThreshold: 2, Cooldown: 200 * time.Millisecond},
+		Timeouts:  robusttomo.CollectorTimeouts{Dial: 250 * time.Millisecond, Exchange: 2 * time.Second},
+	})
 	if err != nil {
 		return err
 	}

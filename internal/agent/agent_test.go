@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 
 // exampleDeployment spins up one monitor per example-network monitor node
 // and a NOC over the 15 candidate paths.
-func exampleDeployment(t *testing.T, scenarios []failure.Scenario) (*tomo.PathMatrix, []float64, *NOC, []*Monitor) {
+func exampleDeployment(t *testing.T, scenarios []failure.Scenario) (*tomo.PathMatrix, []float64, *StreamNOC, []*Monitor) {
 	t.Helper()
 	ex := topo.NewExample()
 	paths, err := routing.MonitorPairs(ex.Graph, ex.Monitors, ex.Monitors)
@@ -54,7 +53,7 @@ func exampleDeployment(t *testing.T, scenarios []failure.Scenario) (*tomo.PathMa
 		monitors[name] = m.Addr()
 		started = append(started, m)
 	}
-	noc, err := NewNOC(NOCConfig{
+	noc, err := NewStreamNOC(StreamConfig{
 		PM:       pm,
 		Monitors: monitors,
 		SourceOf: func(path int) string { return ex.Graph.Label(pm.Path(path).Src) },
@@ -62,6 +61,7 @@ func exampleDeployment(t *testing.T, scenarios []failure.Scenario) (*tomo.PathMa
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { noc.Close() })
 	return pm, metrics, noc, started
 }
 
@@ -193,21 +193,20 @@ func TestEndToEndInference(t *testing.T) {
 
 func TestNOCValidation(t *testing.T) {
 	pm, _ := tomo.NewPathMatrix([]routing.Path{{Src: 0, Dst: 1, Edges: nil}}, 1)
-	if _, err := NewNOC(NOCConfig{}); err == nil {
+	if _, err := NewStreamNOC(StreamConfig{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	if _, err := NewNOC(NOCConfig{PM: pm}); err == nil {
+	if _, err := NewStreamNOC(StreamConfig{PM: pm}); err == nil {
 		t.Fatal("missing monitors accepted")
 	}
-	if _, err := NewNOC(NOCConfig{PM: pm, Monitors: map[string]string{"m": "x"}}); err == nil {
+	if _, err := NewStreamNOC(StreamConfig{PM: pm, Monitors: map[string]string{"m": "x"}}); err == nil {
 		t.Fatal("missing SourceOf accepted")
 	}
 }
 
 func TestCollectEpochUnknownMonitor(t *testing.T) {
 	pm, _, noc, _ := exampleDeployment(t, nil)
-	_ = pm
-	badNoc, err := NewNOC(NOCConfig{
+	badNoc, err := NewStreamNOC(StreamConfig{
 		PM:       pm,
 		Monitors: map[string]string{"only": "127.0.0.1:1"},
 		SourceOf: func(int) string { return "ghost" },
@@ -215,6 +214,7 @@ func TestCollectEpochUnknownMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer badNoc.Close()
 	ctx := context.Background()
 	if _, err := badNoc.CollectEpoch(ctx, 0, []int{0}); err == nil {
 		t.Fatal("unknown monitor accepted")
@@ -225,18 +225,18 @@ func TestCollectEpochUnknownMonitor(t *testing.T) {
 }
 
 func TestCollectEpochDeadMonitor(t *testing.T) {
-	pm, metrics, _, _ := exampleDeployment(t, nil)
-	_ = metrics
-	noc, err := NewNOC(NOCConfig{
+	pm, _, _, _ := exampleDeployment(t, nil)
+	noc, err := NewStreamNOC(StreamConfig{
 		PM:       pm,
 		Monitors: map[string]string{"dead": "127.0.0.1:1"}, // nothing listens
 		SourceOf: func(int) string { return "dead" },
 		// Short timeout so the test fails fast.
-		DialTimeout: 200 * time.Millisecond,
+		Timeouts: Timeouts{Dial: 200 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer noc.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if _, err := noc.CollectEpoch(ctx, 0, []int{0}); err == nil {
@@ -265,8 +265,8 @@ func TestCollectEpochEmptySelection(t *testing.T) {
 }
 
 func TestCollectEpochConcurrent(t *testing.T) {
-	// The NOC and monitors are stateless per request: concurrent epoch
-	// collections must not interfere (run with -race in CI).
+	// Concurrent collections of distinct epochs must not interfere (run
+	// with -race in CI).
 	pm, metrics, noc, _ := exampleDeployment(t, nil)
 	truth, _ := pm.TrueMeasurements(metrics)
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -321,28 +321,6 @@ func TestMonitorRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestMonitorShutdownMessage(t *testing.T) {
-	oracle, _ := NewEpochOracle([]float64{1}, nil)
-	m, err := StartMonitor("m", "127.0.0.1:0", oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	conn, err := net.Dial("tcp", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"type":"shutdown"}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("session still alive after shutdown")
-	}
-}
-
 func TestStartMonitorValidation(t *testing.T) {
 	if _, err := StartMonitor("m", "127.0.0.1:0", nil); err == nil {
 		t.Fatal("nil oracle accepted")
@@ -373,13 +351,10 @@ func TestEpochOracleValidation(t *testing.T) {
 }
 
 func TestProtocolPeekType(t *testing.T) {
-	if _, err := peekType([]byte(`{"type":"probe"}`)); err != nil {
-		t.Fatal(err)
+	if mt, err := peekType([]byte(`{"type":"batch"}`)); err != nil || mt != MsgBatch {
+		t.Fatalf("peekType = %q, %v", mt, err)
 	}
 	if _, err := peekType([]byte(`nope`)); err == nil {
 		t.Fatal("garbage accepted")
-	}
-	if !strings.Contains(string(MsgProbe), "probe") {
-		t.Fatal("unexpected constant")
 	}
 }

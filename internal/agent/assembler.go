@@ -18,6 +18,11 @@ import (
 // Policies, shared with the serial reference assembly the tests compare
 // against bit-for-bit:
 //
+//   - membership: an open epoch accepts a result only for a path it was
+//     opened with, and only from the monitor that owns that path. Any
+//     other result is dropped and counted, so a buggy or hostile monitor
+//     can neither inject path IDs the consumer never probed nor answer for
+//     another monitor's paths.
 //   - dedup: the first result for an (epoch, path) pair wins; later
 //     duplicates are counted, not applied.
 //   - late: a result for an epoch that is not open (already sealed, or
@@ -26,6 +31,13 @@ import (
 //     dropped so a runaway peer cannot grow memory.
 //   - out-of-order: any number of epochs may be open at once; results
 //     route by epoch number, not arrival order.
+
+// Measurement is one collected end-to-end measurement.
+type Measurement struct {
+	PathID int
+	OK     bool
+	Value  float64
+}
 
 // LateMeasurement is a measurement that arrived after its epoch sealed,
 // folded forward into a later assembled epoch.
@@ -55,8 +67,8 @@ type AssembledEpoch struct {
 
 // ingestStats summarizes one Ingest call for the metrics plane.
 type ingestStats struct {
-	accepted   int
 	duplicates int
+	foreign    int // results for paths the open epoch does not expect from their sender
 	late       int
 	lateDrop   int
 	// lag is the arrival lag behind the seal for late results (zero when
@@ -64,14 +76,32 @@ type ingestStats struct {
 	lag time.Duration
 }
 
+// pathState is where one path of an open epoch stands.
+type pathState uint8
+
+const (
+	pathOutstanding pathState = iota // probed, no result yet
+	pathAbandoned                    // its probe could not be sent
+	pathReceived                     // its first result was accepted
+)
+
+// pathEntry is one expected path of an open epoch: the monitor that owns
+// it, as an index into epochAssembly.owners (a string per path made each
+// epoch allocate 15% more), and where it stands.
+type pathEntry struct {
+	owner int32
+	state pathState
+}
+
 // epochAssembly is one open epoch's accumulation state.
 type epochAssembly struct {
-	expect     map[int]struct{} // paths still outstanding
-	got        []Measurement    // arrival order; sorted at seal
-	gotSet     map[int]struct{}
-	duplicates int
-	done       chan struct{} // closed when expect drains
-	doneClosed bool
+	owners      []string
+	paths       map[int]pathEntry // every path the epoch was opened with
+	outstanding int               // paths still in pathOutstanding
+	got         []Measurement     // arrival order; sorted at seal
+	duplicates  int
+	done        chan struct{} // closed when outstanding drains
+	doneClosed  bool
 }
 
 // assembler is the concurrent watermark assembler. All methods are safe
@@ -110,28 +140,36 @@ func newAssembler(now func() time.Time, maxLate int) *assembler {
 	}
 }
 
-// openEpoch registers an epoch and its expected path set, returning a
-// channel closed once every expected path has reported. Opening an
-// already-open epoch is an error; an empty expectation completes
-// immediately.
-func (a *assembler) openEpoch(epoch int, expected []int) (<-chan struct{}, error) {
+// openEpoch registers an epoch and its expected paths, keyed by the
+// monitor that owns them, returning a channel closed once every expected
+// path has reported. Opening an already-open epoch is an error; an empty
+// expectation completes immediately.
+func (a *assembler) openEpoch(epoch int, byOwner map[string][]int) (<-chan struct{}, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, ok := a.open[epoch]; ok {
 		return nil, fmt.Errorf("agent: epoch %d already open in assembler", epoch)
 	}
+	n := 0
+	for _, paths := range byOwner {
+		n += len(paths)
+	}
 	ea := &epochAssembly{
-		expect: make(map[int]struct{}, len(expected)),
-		gotSet: make(map[int]struct{}, len(expected)),
+		owners: make([]string, 0, len(byOwner)),
+		paths:  make(map[int]pathEntry, n),
 		done:   make(chan struct{}),
 	}
-	for _, p := range expected {
-		ea.expect[p] = struct{}{}
+	for owner, paths := range byOwner {
+		idx := int32(len(ea.owners))
+		ea.owners = append(ea.owners, owner)
+		for _, p := range paths {
+			if _, dup := ea.paths[p]; !dup {
+				ea.paths[p] = pathEntry{owner: idx}
+				ea.outstanding++
+			}
+		}
 	}
-	if len(ea.expect) == 0 {
-		close(ea.done)
-		ea.doneClosed = true
-	}
+	ea.checkComplete()
 	a.open[epoch] = ea
 	return ea.done, nil
 }
@@ -148,22 +186,26 @@ func (a *assembler) abandon(epoch int, paths []int) {
 		return
 	}
 	for _, p := range paths {
-		delete(ea.expect, p)
+		if pe, ok := ea.paths[p]; ok && pe.state == pathOutstanding {
+			pe.state = pathAbandoned
+			ea.paths[p] = pe
+			ea.outstanding--
+		}
 	}
 	ea.checkComplete()
 }
 
 func (ea *epochAssembly) checkComplete() {
-	if len(ea.expect) == 0 && !ea.doneClosed {
+	if ea.outstanding == 0 && !ea.doneClosed {
 		close(ea.done)
 		ea.doneClosed = true
 	}
 }
 
-// ingest routes one result batch. Results for open epochs accumulate
-// (first-wins dedup); results for anything else land in the bounded late
-// buffer for the next seal.
-func (a *assembler) ingest(epoch int, results []Measurement) ingestStats {
+// ingest routes one result batch from a monitor. Results for open epochs
+// accumulate (first-wins dedup, foreign results dropped); results for
+// anything else land in the bounded late buffer for the next seal.
+func (a *assembler) ingest(epoch int, monitor string, results []Measurement) ingestStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var st ingestStats
@@ -184,15 +226,21 @@ func (a *assembler) ingest(epoch int, results []Measurement) ingestStats {
 		return st
 	}
 	for _, m := range results {
-		if _, dup := ea.gotSet[m.PathID]; dup {
+		pe, ok := ea.paths[m.PathID]
+		switch {
+		case !ok || ea.owners[pe.owner] != monitor:
+			st.foreign++
+			continue
+		case pe.state == pathReceived:
 			ea.duplicates++
 			st.duplicates++
 			continue
+		case pe.state == pathOutstanding:
+			ea.outstanding--
 		}
-		ea.gotSet[m.PathID] = struct{}{}
+		pe.state = pathReceived
+		ea.paths[m.PathID] = pe
 		ea.got = append(ea.got, m)
-		delete(ea.expect, m.PathID)
-		st.accepted++
 	}
 	ea.checkComplete()
 	return st
@@ -212,9 +260,11 @@ func (a *assembler) seal(epoch int) AssembledEpoch {
 		sort.Slice(out.Measurements, func(i, j int) bool {
 			return out.Measurements[i].PathID < out.Measurements[j].PathID
 		})
-		out.Missing = make([]int, 0, len(ea.expect))
-		for p := range ea.expect {
-			out.Missing = append(out.Missing, p)
+		out.Missing = make([]int, 0, ea.outstanding)
+		for p, pe := range ea.paths {
+			if pe.state == pathOutstanding {
+				out.Missing = append(out.Missing, p)
+			}
 		}
 		sort.Ints(out.Missing)
 		out.Duplicates = ea.duplicates

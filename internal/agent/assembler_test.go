@@ -21,6 +21,7 @@ type asmEvent struct {
 	kind    string // "open", "ingest", "abandon", "seal", "tick"
 	epoch   int
 	paths   []int         // open/abandon
+	monitor string        // open: the paths' owner; ingest: the sender
 	results []Measurement // ingest
 	d       time.Duration // tick
 }
@@ -35,6 +36,7 @@ type refAssembler struct {
 }
 
 type refEpoch struct {
+	owner  map[int]string // opened path → the monitor that owns it
 	expect map[int]bool
 	order  []Measurement
 	seen   map[int]bool
@@ -51,8 +53,9 @@ func newRefAssembler(maxLate int) *refAssembler {
 func (r *refAssembler) replay(ev asmEvent) *AssembledEpoch {
 	switch ev.kind {
 	case "open":
-		re := &refEpoch{expect: map[int]bool{}, seen: map[int]bool{}}
+		re := &refEpoch{owner: map[int]string{}, expect: map[int]bool{}, seen: map[int]bool{}}
 		for _, p := range ev.paths {
+			re.owner[p] = ev.monitor
 			re.expect[p] = true
 		}
 		r.open[ev.epoch] = re
@@ -75,6 +78,9 @@ func (r *refAssembler) replay(ev asmEvent) *AssembledEpoch {
 			return nil
 		}
 		for _, m := range ev.results {
+			if owner, ok := re.owner[m.PathID]; !ok || owner != ev.monitor {
+				continue // not a path this epoch probed from this sender: dropped
+			}
 			if re.seen[m.PathID] {
 				re.dups++
 				continue
@@ -117,13 +123,13 @@ func runScript(t *testing.T, script []asmEvent, maxLate int) (got, want []Assemb
 	for _, ev := range script {
 		switch ev.kind {
 		case "open":
-			if _, err := a.openEpoch(ev.epoch, ev.paths); err != nil {
+			if _, err := a.openEpoch(ev.epoch, map[string][]int{ev.monitor: ev.paths}); err != nil {
 				t.Fatalf("open %d: %v", ev.epoch, err)
 			}
 		case "abandon":
 			a.abandon(ev.epoch, ev.paths)
 		case "ingest":
-			a.ingest(ev.epoch, ev.results)
+			a.ingest(ev.epoch, ev.monitor, ev.results)
 		case "seal":
 			got = append(got, a.seal(ev.epoch))
 		case "tick":
@@ -231,15 +237,54 @@ func TestAssemblerOutOfOrderEpochs(t *testing.T) {
 	}
 }
 
+// TestAssemblerDropsForeignPaths: an open epoch accepts a result only for
+// a path it was opened with, and only from the monitor that owns it.
+// Anything else is dropped and counted, and cannot complete the epoch.
+func TestAssemblerDropsForeignPaths(t *testing.T) {
+	a := newAssembler(nil, 0)
+	done, err := a.openEpoch(0, map[string][]int{"a": {1, 2}, "b": {3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unknown path IDs, in range or not.
+	if st := a.ingest(0, "a", []Measurement{m(1, 1), m(7, 7), m(-3, 3)}); st.foreign != 2 {
+		t.Fatalf("foreign = %d, want 2", st.foreign)
+	}
+	// Another monitor answering a's path 2 and b answering for itself:
+	// only b's own path counts.
+	if st := a.ingest(0, "b", []Measurement{m(2, 99), m(3, 3)}); st.foreign != 1 {
+		t.Fatalf("foreign = %d, want 1 (b answering a's path)", st.foreign)
+	}
+	select {
+	case <-done:
+		t.Fatal("foreign results completed the epoch")
+	default:
+	}
+	// a's own answer for path 2 still lands: the spoof did not consume it.
+	if st := a.ingest(0, "a", []Measurement{m(2, 2)}); st.foreign != 0 || st.duplicates != 0 {
+		t.Fatalf("owner's answer rejected: %+v", st)
+	}
+	select {
+	case <-done:
+	default:
+		t.Fatal("epoch did not complete once every owner answered")
+	}
+	out := a.seal(0)
+	want := []Measurement{m(1, 1), m(2, 2), m(3, 3)}
+	if !reflect.DeepEqual(out.Measurements, want) || len(out.Missing) != 0 || out.Duplicates != 0 {
+		t.Fatalf("foreign results leaked into the epoch: %+v", out)
+	}
+}
+
 // TestAssemblerAbandonCompletes: abandoning unsendable paths lets the done
 // channel fire without waiting out the watermark.
 func TestAssemblerAbandonCompletes(t *testing.T) {
 	a := newAssembler(nil, 0)
-	done, err := a.openEpoch(3, []int{1, 2, 3})
+	done, err := a.openEpoch(3, map[string][]int{"a": {1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.ingest(3, []Measurement{m(1, 0.5)})
+	a.ingest(3, "a", []Measurement{m(1, 0.5)})
 	select {
 	case <-done:
 		t.Fatal("done fired with paths outstanding")
@@ -284,10 +329,11 @@ func TestAssemblerLateBufferBounded(t *testing.T) {
 
 // TestAssemblerRandomizedAgainstReference fuzzes event scripts from a
 // seeded RNG: whatever the mix of opens, out-of-order ingests, dups,
-// lates and seals, the concurrent assembler must match the reference
-// bit-for-bit.
+// lates, foreign senders and seals, the concurrent assembler must match
+// the reference bit-for-bit.
 func TestAssemblerRandomizedAgainstReference(t *testing.T) {
 	rng := stats.NewRNG(2014, 0xA55E)
+	monitors := []string{"a", "b"}
 	for trial := 0; trial < 50; trial++ {
 		var script []asmEvent
 		opened := []int{}
@@ -299,7 +345,8 @@ func TestAssemblerRandomizedAgainstReference(t *testing.T) {
 				for i := range paths {
 					paths[i] = rng.IntN(8)
 				}
-				script = append(script, asmEvent{kind: "open", epoch: nextEpoch, paths: paths})
+				script = append(script, asmEvent{kind: "open", epoch: nextEpoch, paths: paths,
+					monitor: monitors[rng.IntN(len(monitors))]})
 				opened = append(opened, nextEpoch)
 				nextEpoch++
 			case 1, 2:
@@ -312,7 +359,8 @@ func TestAssemblerRandomizedAgainstReference(t *testing.T) {
 						Value:  math.Floor(rng.Float64()*1000) / 8,
 					}
 				}
-				script = append(script, asmEvent{kind: "ingest", epoch: epoch, results: results})
+				script = append(script, asmEvent{kind: "ingest", epoch: epoch, results: results,
+					monitor: monitors[rng.IntN(len(monitors))]})
 			case 3:
 				if len(opened) > 0 {
 					i := rng.IntN(len(opened))
@@ -347,7 +395,7 @@ func TestAssemblerConcurrentIngest(t *testing.T) {
 	for i := range expected {
 		expected[i] = i
 	}
-	done, err := a.openEpoch(0, expected)
+	done, err := a.openEpoch(0, map[string][]int{"a": expected})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +406,7 @@ func TestAssemblerConcurrentIngest(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				p := w*per + i
-				a.ingest(0, []Measurement{m(p, float64(p))})
+				a.ingest(0, "a", []Measurement{m(p, float64(p))})
 			}
 		}(w)
 	}

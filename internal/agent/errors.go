@@ -25,34 +25,17 @@ var (
 	// is open (cooling down after repeated failures).
 	ErrCircuitOpen = errors.New("agent: circuit open")
 	// ErrWatermark marks paths whose monitor did not answer before the
-	// streaming collector's watermark elapsed; the epoch sealed without
-	// them (their results, if they ever arrive, fold into a later epoch as
-	// LateMeasurements). Streaming outcomes wrap both this and
-	// ErrMonitorUnreachable so legacy error dispatch keeps working.
+	// collector's watermark elapsed; the epoch sealed without them (their
+	// results, if they ever arrive, fold into a later epoch as
+	// LateMeasurements). Watermark outcomes wrap both this and
+	// ErrMonitorUnreachable, so one errors.Is check covers every way a
+	// monitor can fail to deliver.
 	ErrWatermark = errors.New("agent: watermark elapsed")
-	// ErrBackpressure marks probe batches the streaming collector dropped
+	// ErrBackpressure marks probe batches the collector dropped
 	// because the owning shard's send queue was full — the collection plane
 	// sheds load instead of stalling the epoch loop.
 	ErrBackpressure = errors.New("agent: shard backpressure")
 )
-
-// ConfigError reports an invalid NOCConfig combination detected by
-// NewNOC — currently the deprecated DialTimeout conflicting with
-// Timeouts.Dial. Match with errors.As:
-//
-//	var ce *agent.ConfigError
-//	if errors.As(err, &ce) { ... ce.Field ... }
-type ConfigError struct {
-	// Field names the offending NOCConfig field.
-	Field string
-	// Reason explains the conflict, with both values spelled out.
-	Reason string
-}
-
-// Error implements error.
-func (e *ConfigError) Error() string {
-	return fmt.Sprintf("agent: invalid config %s: %s", e.Field, e.Reason)
-}
 
 // MonitorOutcome records how collection went for one monitor in one epoch.
 type MonitorOutcome struct {
@@ -60,8 +43,8 @@ type MonitorOutcome struct {
 	Monitor string
 	// Paths are the selected paths assigned to this monitor this epoch.
 	Paths []int
-	// Attempts counts the connect+exchange attempts actually performed
-	// (zero when the breaker was open before the first attempt).
+	// Attempts counts the connect+send attempts actually performed (zero
+	// when the breaker was open before the first attempt).
 	Attempts int
 	// Err is the last error observed, wrapping ErrMonitorUnreachable or
 	// ErrCircuitOpen; nil for a successful monitor.

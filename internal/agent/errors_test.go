@@ -115,10 +115,3 @@ func TestCollectionErrorAllSentinelsAtOnce(t *testing.T) {
 		}
 	}
 }
-
-func TestConfigErrorMessage(t *testing.T) {
-	err := &ConfigError{Field: "DialTimeout", Reason: "conflict"}
-	if got := err.Error(); got != "agent: invalid config DialTimeout: conflict" {
-		t.Fatalf("Error() = %q", got)
-	}
-}

@@ -24,7 +24,7 @@ type DialFault struct {
 }
 
 // errDialRefused is what a scripted refusal returns, wrapped by the
-// session's dial error.
+// transport's dial error.
 var errDialRefused = errors.New("agent: fault: connection refused")
 
 // FaultyDialer wraps a DialFunc with a per-dial fault script. Dial i
@@ -77,7 +77,7 @@ func (d *FaultyDialer) Dials() int {
 // ConnFault scripts one monitor-side accepted connection.
 type ConnFault struct {
 	// Reject closes the connection immediately after accept: the NOC's
-	// dial succeeds but the first exchange hits a reset.
+	// dial succeeds but the connection dies before any reply.
 	Reject bool
 	// AcceptDelay sleeps before the connection is handed to the server.
 	AcceptDelay time.Duration
@@ -141,7 +141,7 @@ func (l *FaultyListener) Accepted() int {
 }
 
 // faultConn corrupts the server's reply stream. The monitor flushes once
-// per reply, so one Write call corresponds to one protocol frame.
+// per reply batch, so one Write call corresponds to one protocol frame.
 type faultConn struct {
 	net.Conn
 
@@ -174,4 +174,20 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		return len(p), nil
 	}
 	return c.Conn.Write(p)
+}
+
+// sleepCtx sleeps for d or until the context is done, reporting whether
+// the full sleep completed.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
+	}
 }

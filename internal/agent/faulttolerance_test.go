@@ -12,19 +12,22 @@ import (
 
 	"robusttomo/internal/graph"
 	"robusttomo/internal/routing"
-	"robusttomo/internal/stats"
 	"robusttomo/internal/tomo"
 )
 
-// fastRetry keeps fault-injection tests quick and deterministic.
-func fastRetry(attempts int) RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: attempts,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      -1, // no jitter: exact backoff, still bounded
+// faultNOC builds a NOC for the fault-injection tests: a short watermark,
+// so an epoch that loses an answer seals quickly, and Close on cleanup.
+func faultNOC(t *testing.T, cfg StreamConfig) *StreamNOC {
+	t.Helper()
+	if cfg.Watermark == 0 {
+		cfg.Watermark = 300 * time.Millisecond
 	}
+	noc, err := NewStreamNOC(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { noc.Close() })
+	return noc
 }
 
 // twoLinkPM builds a 2-path/2-link matrix: path 0 over link 0 (source
@@ -139,38 +142,6 @@ func TestBreakerDisabled(t *testing.T) {
 	}
 }
 
-func TestRetryBackoffBoundedAndDeterministic(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond, Multiplier: 2, Jitter: 0.5}.withDefaults()
-	r1 := stats.NewRNG(42, 7)
-	r2 := stats.NewRNG(42, 7)
-	prevCeil := time.Duration(0)
-	for attempt := 1; attempt <= 8; attempt++ {
-		d1 := p.backoff(attempt, r1)
-		d2 := p.backoff(attempt, r2)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: backoff not deterministic (%v vs %v)", attempt, d1, d2)
-		}
-		ceil := time.Duration(math.Min(
-			float64(p.BaseBackoff)*math.Pow(p.Multiplier, float64(attempt-1)),
-			float64(p.MaxBackoff)))
-		if d1 > ceil {
-			t.Fatalf("attempt %d: backoff %v above ceiling %v", attempt, d1, ceil)
-		}
-		if d1 < ceil/2 {
-			t.Fatalf("attempt %d: backoff %v below jitter floor %v", attempt, d1, ceil/2)
-		}
-		if ceil < prevCeil {
-			t.Fatalf("ceiling decreased: %v after %v", ceil, prevCeil)
-		}
-		prevCeil = ceil
-	}
-	// No-jitter policies are exact.
-	exact := fastRetry(3)
-	if d := exact.withDefaults().backoff(2, nil); d != 2*time.Millisecond {
-		t.Fatalf("no-jitter backoff(2) = %v, want 2ms", d)
-	}
-}
-
 func TestCollectEpochSentinelErrors(t *testing.T) {
 	pm := twoLinkPM(t)
 	oracle, err := NewEpochOracle([]float64{1, 2}, nil)
@@ -178,31 +149,24 @@ func TestCollectEpochSentinelErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ma, _ := faultyMonitor(t, "a", oracle)
-	noc, err := NewNOC(NOCConfig{
+	noc := faultNOC(t, StreamConfig{
 		PM:       pm,
 		Monitors: map[string]string{"a": ma.Addr(), "b": "127.0.0.1:1"}, // b is dead
 		SourceOf: sourceAB(pm),
-		Retry:    fastRetry(2),
+		Retry:    RetryPolicy{MaxAttempts: 2},
 		Timeouts: Timeouts{Dial: 200 * time.Millisecond},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noc.Close()
 	ctx := context.Background()
 
 	if _, err := noc.CollectEpoch(ctx, 0, []int{99}); !errors.Is(err, ErrPathOutOfRange) {
 		t.Fatalf("out-of-range path: err = %v, want ErrPathOutOfRange", err)
 	}
 
-	ghostNoc, err := NewNOC(NOCConfig{
+	ghostNoc := faultNOC(t, StreamConfig{
 		PM:       pm,
 		Monitors: map[string]string{"a": ma.Addr()},
 		SourceOf: func(int) string { return "ghost" },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := ghostNoc.CollectEpoch(ctx, 0, []int{0}); !errors.Is(err, ErrUnknownMonitor) {
 		t.Fatalf("unknown monitor: err = %v, want ErrUnknownMonitor", err)
 	}
@@ -233,17 +197,14 @@ func TestCollectEpochSentinelErrors(t *testing.T) {
 	}
 
 	// Force the breaker open and check the circuit sentinel surfaces.
-	openNoc, err := NewNOC(NOCConfig{
+	openNoc := faultNOC(t, StreamConfig{
 		PM:       pm,
 		Monitors: map[string]string{"a": ma.Addr(), "b": "127.0.0.1:1"},
 		SourceOf: sourceAB(pm),
-		Retry:    fastRetry(1),
+		Retry:    RetryPolicy{MaxAttempts: 1},
 		Breaker:  BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour},
 		Timeouts: Timeouts{Dial: 200 * time.Millisecond},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := openNoc.CollectEpoch(ctx, 0, []int{1}); !errors.Is(err, ErrMonitorUnreachable) {
 		t.Fatalf("first epoch: %v", err)
 	}
@@ -281,17 +242,13 @@ func TestCollectEpochOneOfThreeDead(t *testing.T) {
 		addrs[name] = m.Addr()
 		mons[name] = m
 	}
-	noc, err := NewNOC(NOCConfig{
+	noc := faultNOC(t, StreamConfig{
 		PM:       pm,
 		Monitors: addrs,
 		SourceOf: func(p int) string { return names[pm.Path(p).Src] },
-		Retry:    fastRetry(2),
+		Retry:    RetryPolicy{MaxAttempts: 2},
 		Timeouts: Timeouts{Dial: 200 * time.Millisecond},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noc.Close()
 
 	if err := mons["m1"].Close(); err != nil {
 		t.Fatal(err)
@@ -325,17 +282,13 @@ func TestRetryRecoversFromRefusedDials(t *testing.T) {
 	// First two dials are refused by script; the third goes through. With
 	// MaxAttempts 3 the epoch must succeed in full.
 	dialer := NewFaultyDialer(nil, DialFault{Refuse: true}, DialFault{Refuse: true})
-	noc, err := NewNOC(NOCConfig{
+	noc := faultNOC(t, StreamConfig{
 		PM:       pm,
 		Monitors: map[string]string{"a": ma.Addr(), "b": mb.Addr()},
 		SourceOf: sourceAB(pm),
-		Retry:    fastRetry(3),
+		Retry:    RetryPolicy{MaxAttempts: 3},
 		Dial:     dialer.DialContext,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noc.Close()
 
 	ms, err := noc.CollectEpoch(context.Background(), 0, []int{0})
 	if err != nil {
@@ -353,17 +306,13 @@ func TestRetryRecoversFromRefusedDials(t *testing.T) {
 	dialer2 := NewFaultyDialer(nil,
 		DialFault{Refuse: true}, DialFault{Refuse: true}, DialFault{Refuse: true},
 		DialFault{Refuse: true}, DialFault{Refuse: true})
-	noc2, err := NewNOC(NOCConfig{
+	noc2 := faultNOC(t, StreamConfig{
 		PM:       pm,
 		Monitors: map[string]string{"a": ma.Addr(), "b": mb.Addr()},
 		SourceOf: sourceAB(pm),
-		Retry:    fastRetry(2),
+		Retry:    RetryPolicy{MaxAttempts: 2},
 		Dial:     dialer2.DialContext,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noc2.Close()
 	_, err = noc2.CollectEpoch(context.Background(), 0, []int{0})
 	var cerr *CollectionError
 	if !errors.As(err, &cerr) || cerr.Outcomes[0].Attempts != 2 {
@@ -375,9 +324,9 @@ func TestRetryRecoversFromRefusedDials(t *testing.T) {
 }
 
 func TestDeadMonitorMidEpochRecovers(t *testing.T) {
-	// The monitor accepts, answers one probe, then resets mid-epoch; the
-	// NOC's retry redials and the clean second connection completes the
-	// epoch.
+	// Three sessions share one connection. The monitor answers one batch,
+	// then resets mid-epoch with the other two in flight; the NOC resends
+	// them on a redialed connection and the epoch completes in full.
 	paths := []routing.Path{
 		{Src: 0, Dst: 9, Edges: []graph.EdgeID{0}},
 		{Src: 0, Dst: 9, Edges: []graph.EdgeID{1}},
@@ -389,16 +338,14 @@ func TestDeadMonitorMidEpochRecovers(t *testing.T) {
 	}
 	oracle, _ := NewEpochOracle([]float64{1, 2, 3}, nil)
 	ma, fl := faultyMonitor(t, "a", oracle, ConnFault{ServeReplies: 1})
-	noc, err := NewNOC(NOCConfig{
+	names := []string{"a", "b", "c"}
+	noc := faultNOC(t, StreamConfig{
 		PM:       pm,
-		Monitors: map[string]string{"a": ma.Addr()},
-		SourceOf: func(int) string { return "a" },
-		Retry:    fastRetry(3),
+		Monitors: map[string]string{"a": ma.Addr(), "b": ma.Addr(), "c": ma.Addr()},
+		SourceOf: func(p int) string { return names[p] },
+		Shards:   1, // one shard, so the three sessions share one connection
+		Retry:    RetryPolicy{MaxAttempts: 3},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noc.Close()
 
 	ms, err := noc.CollectEpoch(context.Background(), 0, []int{0, 1, 2})
 	if err != nil {
@@ -421,16 +368,12 @@ func TestGarbageFramesAreRetried(t *testing.T) {
 	pm := twoLinkPM(t)
 	oracle, _ := NewEpochOracle([]float64{5, 6}, nil)
 	ma, fl := faultyMonitor(t, "a", oracle, ConnFault{GarbageReplies: 1})
-	noc, err := NewNOC(NOCConfig{
+	noc := faultNOC(t, StreamConfig{
 		PM:       pm,
 		Monitors: map[string]string{"a": ma.Addr(), "b": ma.Addr()},
 		SourceOf: sourceAB(pm),
-		Retry:    fastRetry(2),
+		Retry:    RetryPolicy{MaxAttempts: 2},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noc.Close()
 
 	ms, err := noc.CollectEpoch(context.Background(), 0, []int{0})
 	if err != nil {
@@ -441,6 +384,42 @@ func TestGarbageFramesAreRetried(t *testing.T) {
 	}
 	if got := fl.Accepted(); got != 2 {
 		t.Fatalf("connections = %d, want 2 (garbage + clean retry)", got)
+	}
+}
+
+// TestBreakerCountsFailedAttempts: the breaker threshold counts failed
+// send attempts, not failed epochs. With two attempts per epoch and a
+// threshold of three (the tomo CLI defaults), a dead monitor's breaker
+// opens on the first attempt of its second epoch, and the second attempt
+// is denied.
+func TestBreakerCountsFailedAttempts(t *testing.T) {
+	pm := twoLinkPM(t)
+	oracle, _ := NewEpochOracle([]float64{1, 2}, nil)
+	ma, _ := faultyMonitor(t, "a", oracle)
+	noc := faultNOC(t, StreamConfig{
+		PM:       pm,
+		Monitors: map[string]string{"a": ma.Addr(), "b": "127.0.0.1:1"}, // b is dead
+		SourceOf: sourceAB(pm),
+		Retry:    RetryPolicy{MaxAttempts: 2},
+		Breaker:  BreakerPolicy{FailureThreshold: 3, Cooldown: time.Hour},
+		Timeouts: Timeouts{Dial: 200 * time.Millisecond},
+	})
+	ctx := context.Background()
+
+	_, err := noc.CollectEpoch(ctx, 0, []int{0, 1})
+	var cerr *CollectionError
+	if !errors.As(err, &cerr) {
+		t.Fatalf("epoch 0: err = %v, want *CollectionError", err)
+	}
+	if o := cerr.Outcomes[0]; o.Attempts != 2 || o.Breaker != BreakerClosed {
+		t.Fatalf("epoch 0: outcome %+v, want 2 attempts with the breaker still closed", o)
+	}
+	_, err = noc.CollectEpoch(ctx, 1, []int{0, 1})
+	if !errors.As(err, &cerr) || !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("epoch 1: err = %v, want ErrCircuitOpen", err)
+	}
+	if o := cerr.Outcomes[0]; o.Attempts != 1 || o.Breaker != BreakerOpen {
+		t.Fatalf("epoch 1: outcome %+v, want the third failed attempt to open the breaker", o)
 	}
 }
 
@@ -463,18 +442,14 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	addrB := mb.Addr()
 
-	noc, err := NewNOC(NOCConfig{
+	noc := faultNOC(t, StreamConfig{
 		PM:       pm,
 		Monitors: map[string]string{"a": ma.Addr(), "b": addrB},
 		SourceOf: sourceAB(pm),
-		Retry:    fastRetry(1), // one attempt per epoch: exact failure counting
+		Retry:    RetryPolicy{MaxAttempts: 1}, // one attempt per epoch: exact failure counting
 		Breaker:  BreakerPolicy{FailureThreshold: 2, Cooldown: time.Minute},
 		Timeouts: Timeouts{Dial: 200 * time.Millisecond},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noc.Close()
 	clock := time.Unix(1000, 0)
 	var clockMu sync.Mutex
 	noc.setClock(func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return clock })
@@ -489,7 +464,10 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("breaker after healthy epoch = %v", st)
 	}
 
-	// Kill b. Two epochs of failures trip the breaker.
+	// Kill b. Two epochs of failures trip the breaker: each is either a
+	// refused redial or a probe written into the dead connection, which
+	// comes back unanswered when the connection drops with the retry
+	// budget spent; both wrap ErrMonitorUnreachable.
 	if err := mb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -542,18 +520,14 @@ func TestFailFastDiscardsEpoch(t *testing.T) {
 	pm := twoLinkPM(t)
 	oracle, _ := NewEpochOracle([]float64{1, 2}, nil)
 	ma, _ := faultyMonitor(t, "a", oracle)
-	noc, err := NewNOC(NOCConfig{
+	noc := faultNOC(t, StreamConfig{
 		PM:       pm,
 		Monitors: map[string]string{"a": ma.Addr(), "b": "127.0.0.1:1"},
 		SourceOf: sourceAB(pm),
-		Retry:    fastRetry(1),
+		Retry:    RetryPolicy{MaxAttempts: 1},
 		Timeouts: Timeouts{Dial: 200 * time.Millisecond},
 		FailFast: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noc.Close()
 	ms, err := noc.CollectEpoch(context.Background(), 0, []int{0, 1})
 	if err == nil {
 		t.Fatal("fail-fast epoch succeeded with a dead monitor")
@@ -564,36 +538,14 @@ func TestFailFastDiscardsEpoch(t *testing.T) {
 	if !errors.Is(err, ErrMonitorUnreachable) {
 		t.Fatalf("err = %v", err)
 	}
-}
-
-func TestDeprecatedDialTimeoutMapsToTimeouts(t *testing.T) {
-	pm := twoLinkPM(t)
-	noc, err := NewNOC(NOCConfig{
-		PM:          pm,
-		Monitors:    map[string]string{"a": "127.0.0.1:1", "b": "127.0.0.1:1"},
-		SourceOf:    sourceAB(pm),
-		DialTimeout: 123 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// CollectAssembled honours FailFast the same way.
+	out, err := noc.CollectAssembled(context.Background(), 1, []int{0, 1})
+	var cerr *CollectionError
+	if !errors.As(err, &cerr) {
+		t.Fatalf("err = %v, want *CollectionError", err)
 	}
-	for _, st := range noc.state {
-		if st.sess.timeouts.Dial != 123*time.Millisecond {
-			t.Fatalf("Timeouts.Dial = %v, want the deprecated DialTimeout", st.sess.timeouts.Dial)
-		}
-	}
-	// Setting both to different values is a config conflict; see
-	// TestDialTimeoutCombinations for the full matrix.
-	_, err = NewNOC(NOCConfig{
-		PM:          pm,
-		Monitors:    map[string]string{"a": "127.0.0.1:1", "b": "127.0.0.1:1"},
-		SourceOf:    sourceAB(pm),
-		DialTimeout: 123 * time.Millisecond,
-		Timeouts:    Timeouts{Dial: 456 * time.Millisecond},
-	})
-	var ce *ConfigError
-	if !errors.As(err, &ce) {
-		t.Fatalf("conflicting timeouts: err = %v, want *ConfigError", err)
+	if out.Measurements != nil {
+		t.Fatalf("fail-fast assembled epoch kept in-time measurements: %+v", out.Measurements)
 	}
 }
 
@@ -601,15 +553,11 @@ func TestPersistentSessionReused(t *testing.T) {
 	pm := twoLinkPM(t)
 	oracle, _ := NewEpochOracle([]float64{1, 2}, nil)
 	ma, fl := faultyMonitor(t, "a", oracle)
-	noc, err := NewNOC(NOCConfig{
+	noc := faultNOC(t, StreamConfig{
 		PM:       pm,
 		Monitors: map[string]string{"a": ma.Addr(), "b": ma.Addr()},
 		SourceOf: sourceAB(pm),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noc.Close()
 	ctx := context.Background()
 	for epoch := 0; epoch < 5; epoch++ {
 		if _, err := noc.CollectEpoch(ctx, epoch, []int{0}); err != nil {
@@ -640,17 +588,13 @@ func TestCollectEpochConcurrentFaulty(t *testing.T) {
 		ConnFault{ServeReplies: 1},
 		ConnFault{GarbageReplies: 1},
 	)
-	noc, err := NewNOC(NOCConfig{
+	noc := faultNOC(t, StreamConfig{
 		PM:       pm,
 		Monitors: map[string]string{"a": ma.Addr()},
 		SourceOf: func(int) string { return "a" },
-		Retry:    fastRetry(4),
+		Retry:    RetryPolicy{MaxAttempts: 4},
 		Breaker:  BreakerPolicy{FailureThreshold: 100}, // stay closed through the scripted faults
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noc.Close()
 
 	const workers = 8
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -665,11 +609,9 @@ func TestCollectEpochConcurrentFaulty(t *testing.T) {
 					errs <- fmt.Errorf("epoch %d: untyped error %v", epoch, err)
 					return
 				}
-				errs <- nil
-				return
 			}
-			for i, m := range ms {
-				if !m.OK || math.Abs(m.Value-float64(i+3)) > 1e-9 {
+			for _, m := range ms {
+				if !m.OK || math.Abs(m.Value-float64(m.PathID+3)) > 1e-9 {
 					errs <- fmt.Errorf("epoch %d: measurement %+v", epoch, m)
 					return
 				}

@@ -9,10 +9,9 @@ import (
 	"math"
 )
 
-// Batched multi-path probe frames: the streaming collection plane's wire
-// format. One frame carries an entire path batch for one monitor and one
-// epoch, so a monitor-epoch costs one syscall and one codec pass instead
-// of one JSON line per path.
+// Batched multi-path probe frames: the collection plane's wire format.
+// One frame carries an entire path batch for one monitor and one epoch, so
+// a monitor-epoch costs one syscall and one codec pass.
 //
 // Two encodings share the stream and may be mixed frame-by-frame:
 //
@@ -119,8 +118,9 @@ type ProbeBatch struct {
 }
 
 // BatchResult is one path outcome inside a result batch. Value carries no
-// omitempty for the same reason ProbeResult.Value does not: 0 is a
-// legitimate measurement.
+// omitempty: 0 is a legitimate measurement, and dropping it from the JSON
+// fallback would make it indistinguishable from an absent field
+// (regression-tested by TestBatchResultZeroValueOnWire).
 type BatchResult struct {
 	PathID int     `json:"pathId"`
 	OK     bool    `json:"ok"`
@@ -146,8 +146,7 @@ func appendUint64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendU
 
 // EncodeProbeBatch appends b's wire form (in enc encoding) to dst and
 // returns the extended slice. Binary encoding rejects fields outside the
-// layout's fixed widths; JSON encoding inherits writeMsg's constraints
-// (e.g. no NaN link metrics — not applicable to requests).
+// layout's fixed widths.
 func EncodeProbeBatch(dst []byte, enc Encoding, b *ProbeBatch) ([]byte, error) {
 	if enc == EncodingJSON {
 		return appendJSONLine(dst, b)
@@ -229,15 +228,6 @@ func sealFrame(dst []byte, start int) ([]byte, error) {
 	}
 	binary.BigEndian.PutUint32(dst[start+2:start+6], uint32(payload))
 	return dst, nil
-}
-
-// appendJSONLine appends v as one JSON protocol line.
-func appendJSONLine(dst []byte, v any) ([]byte, error) {
-	blob, err := marshalMsg(v)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, blob...), nil
 }
 
 // frameDecoder walks a binary frame payload with bounds checking.
@@ -381,10 +371,9 @@ func decodeResultBatch(payload []byte) (*ResultBatch, error) {
 	return b, nil
 }
 
-// readMessage reads one protocol message — a binary batch frame or a JSON
-// line (legacy per-path messages and the batch fallback) — and returns the
-// decoded form: *ProbeRequest, *ProbeBatch, *ResultBatch, *ProbeResult, or
-// shutdownMsg. The two encodings may interleave freely on one stream.
+// readMessage reads one batch message — a binary frame or a JSON
+// fallback line — and returns the decoded *ProbeBatch or *ResultBatch. The
+// two encodings may interleave freely on one stream.
 func readMessage(r *bufio.Reader) (any, error) {
 	head, err := r.Peek(1)
 	if err != nil {
@@ -402,18 +391,6 @@ func readMessage(r *bufio.Reader) (any, error) {
 		return nil, err
 	}
 	switch mt {
-	case MsgProbe:
-		var req ProbeRequest
-		if err := unmarshalStrict(line, &req); err != nil {
-			return nil, err
-		}
-		return &req, nil
-	case MsgResult:
-		var res ProbeResult
-		if err := unmarshalStrict(line, &res); err != nil {
-			return nil, err
-		}
-		return &res, nil
 	case MsgBatch:
 		var b ProbeBatch
 		if err := unmarshalStrict(line, &b); err != nil {
@@ -427,15 +404,10 @@ func readMessage(r *bufio.Reader) (any, error) {
 			return nil, err
 		}
 		return &b, nil
-	case MsgShutdown:
-		return shutdownMsg{}, nil
 	default:
 		return nil, fmt.Errorf("agent: unknown message type %q", mt)
 	}
 }
-
-// shutdownMsg is readMessage's decoded form of a MsgShutdown line.
-type shutdownMsg struct{}
 
 // readBinaryFrame reads one length-prefixed binary frame. The claimed
 // payload length is checked against maxFrame before any allocation, so a

@@ -121,20 +121,17 @@ func TestBatchBinaryPreservesFloatBits(t *testing.T) {
 	}
 }
 
-// TestMixedBinaryJSONStream interleaves binary frames, JSON batch frames
-// and legacy per-path JSON lines on one stream: the reader must decode all
-// of them in order.
+// TestMixedBinaryJSONStream interleaves binary and JSON batch frames on
+// one stream: the reader must decode all of them in order.
 func TestMixedBinaryJSONStream(t *testing.T) {
 	var wire []byte
 	var err error
 	if wire, err = EncodeProbeBatch(wire, EncodingBinary, sampleProbeBatch()); err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := marshalMsg(ProbeRequest{Type: MsgProbe, Epoch: 3, PathID: 5, Links: []int{1}, DstName: "d"})
-	if err != nil {
+	if wire, err = EncodeProbeBatch(wire, EncodingJSON, sampleProbeBatch()); err != nil {
 		t.Fatal(err)
 	}
-	wire = append(wire, legacy...)
 	if wire, err = EncodeResultBatch(wire, EncodingJSON, sampleResultBatch()); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +140,7 @@ func TestMixedBinaryJSONStream(t *testing.T) {
 	}
 
 	r := bufio.NewReader(bytes.NewReader(wire))
-	wantTypes := []string{"*agent.ProbeBatch", "*agent.ProbeRequest", "*agent.ResultBatch", "*agent.ResultBatch"}
+	wantTypes := []string{"*agent.ProbeBatch", "*agent.ProbeBatch", "*agent.ResultBatch", "*agent.ResultBatch"}
 	for i, want := range wantTypes {
 		msg, err := readMessage(r)
 		if err != nil {
@@ -230,9 +227,11 @@ func TestEncodeRejectsUnencodable(t *testing.T) {
 	}
 }
 
-// TestBatchResultZeroValueOnWire is the batch-codec sibling of the
-// ProbeResult omitempty regression: a successful zero measurement keeps
-// its value field in the JSON fallback.
+// TestBatchResultZeroValueOnWire is the regression test for the
+// `omitempty` bug: a successful probe whose measurement is exactly 0 must
+// keep its value field in the JSON fallback and decode back intact, not be
+// dropped and re-zeroed on the far side (indistinguishable from an absent
+// field).
 func TestBatchResultZeroValueOnWire(t *testing.T) {
 	rb := &ResultBatch{Type: MsgBatchResult, Epoch: 0, Monitor: "m",
 		Results: []BatchResult{{PathID: 1, OK: true, Value: 0}}}
@@ -242,5 +241,12 @@ func TestBatchResultZeroValueOnWire(t *testing.T) {
 	}
 	if !strings.Contains(string(wire), `"value":0`) {
 		t.Fatalf("zero value omitted from batch JSON: %s", wire)
+	}
+	msg, err := readMessage(bufio.NewReader(bytes.NewReader(wire)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := msg.(*ResultBatch); !ok || !reflect.DeepEqual(got, rb) {
+		t.Fatalf("round trip: got %+v, want %+v", msg, rb)
 	}
 }

@@ -42,110 +42,22 @@ func FuzzWireFrame(f *testing.F) {
 			}
 			// Accepted types decode into their structs without panicking.
 			switch mt {
-			case MsgProbe:
-				var req ProbeRequest
-				_ = json.Unmarshal(line, &req)
-			case MsgResult:
-				var res ProbeResult
-				_ = json.Unmarshal(line, &res)
+			case MsgBatch:
+				var b ProbeBatch
+				_ = json.Unmarshal(line, &b)
+			case MsgBatchResult:
+				var b ResultBatch
+				_ = json.Unmarshal(line, &b)
 			}
-		}
-	})
-}
-
-// FuzzWireRoundTrip drives the codec with structured inputs: any
-// request/result the NOC can express must survive writeMsg → readLine →
-// peekType → decode with every field intact. Two representability gaps
-// exist: NaN/Inf (JSON has no encoding for them — writeMsg must reject
-// them loudly instead of corrupting the stream) and invalid UTF-8 in
-// strings (JSON strings are UTF-8; encoding/json substitutes U+FFFD, so
-// byte-exactness cannot hold and the trip is only checked to frame).
-func FuzzWireRoundTrip(f *testing.F) {
-	f.Add(0, 0, "", true, 0.0, "")
-	f.Add(7, 3, "monitor-b", false, 12.25, "monitor-a")
-	f.Add(-1, -9, "名前", true, math.MaxFloat64, "m")
-	f.Add(1<<30, 1<<30, "a\nb", false, -0.0, "quote\"backslash\\")
-	f.Add(2014, 5, "dst", true, math.Inf(1), "src")
-	f.Fuzz(func(t *testing.T, epoch, pathID int, dstName string, ok bool, value float64, monitor string) {
-		req := ProbeRequest{
-			Type:    MsgProbe,
-			Epoch:   epoch,
-			PathID:  pathID,
-			Links:   []int{0, pathID & 0xff, 1},
-			DstName: dstName,
-		}
-		res := ProbeResult{
-			Type:    MsgResult,
-			Epoch:   epoch,
-			PathID:  pathID,
-			OK:      ok,
-			Value:   value,
-			Monitor: monitor,
-		}
-
-		var buf bytes.Buffer
-		reqErr := writeMsg(&buf, req)
-		resErr := writeMsg(&buf, res)
-		if math.IsNaN(value) || math.IsInf(value, 0) {
-			if resErr == nil {
-				t.Fatalf("writeMsg accepted unencodable value %v", value)
-			}
-			return
-		}
-		if reqErr != nil || resErr != nil {
-			t.Fatalf("writeMsg failed on encodable input: %v / %v", reqErr, resErr)
-		}
-		exactStrings := utf8.ValidString(dstName) && utf8.ValidString(monitor)
-
-		r := bufio.NewReader(&buf)
-		line, err := readLine(r)
-		if err != nil {
-			t.Fatalf("readLine after writeMsg: %v", err)
-		}
-		if mt, err := peekType(line); err != nil || mt != MsgProbe {
-			t.Fatalf("peekType = %q, %v", mt, err)
-		}
-		var gotReq ProbeRequest
-		if err := json.Unmarshal(line, &gotReq); err != nil {
-			t.Fatalf("decode request: %v", err)
-		}
-		// json.Marshal escapes the payload, so a round trip must be
-		// byte-exact on every field, including newlines inside strings
-		// (the framing invariant: one message, one line). Invalid UTF-8
-		// is the exception: the encoder coerces it to U+FFFD, so string
-		// equality only holds for valid input.
-		if gotReq.Epoch != req.Epoch || gotReq.PathID != req.PathID ||
-			(exactStrings && gotReq.DstName != req.DstName) {
-			t.Fatalf("request round trip: got %+v, want %+v", gotReq, req)
-		}
-		if len(gotReq.Links) != len(req.Links) {
-			t.Fatalf("links round trip: got %v, want %v", gotReq.Links, req.Links)
-		}
-
-		line, err = readLine(r)
-		if err != nil {
-			t.Fatalf("readLine second frame: %v", err)
-		}
-		if mt, err := peekType(line); err != nil || mt != MsgResult {
-			t.Fatalf("peekType second frame = %q, %v", mt, err)
-		}
-		var gotRes ProbeResult
-		if err := json.Unmarshal(line, &gotRes); err != nil {
-			t.Fatalf("decode result: %v", err)
-		}
-		if gotRes.Epoch != res.Epoch || gotRes.PathID != res.PathID ||
-			gotRes.OK != res.OK || gotRes.Value != res.Value ||
-			(exactStrings && gotRes.Monitor != res.Monitor) {
-			t.Fatalf("result round trip: got %+v, want %+v", gotRes, res)
 		}
 	})
 }
 
 // FuzzBatchFrame throws arbitrary bytes at the unified readMessage reader
-// — the surface that now accepts binary batch frames, JSON batch lines and
-// legacy per-path lines on one stream. Invariants: no panic, no oversized
-// acceptance (claimed frame lengths past maxFrame are rejected from the
-// header alone), and every decoded message is one of the known types.
+// — the surface that accepts binary batch frames and JSON batch lines on
+// one stream. Invariants: no panic, no oversized acceptance (claimed frame
+// lengths past maxFrame are rejected from the header alone), and every
+// decoded message is one of the known types.
 func FuzzBatchFrame(f *testing.F) {
 	// Well-formed frames in both encodings.
 	if wire, err := EncodeProbeBatch(nil, EncodingBinary, sampleProbeBatch()); err == nil {
@@ -154,7 +66,7 @@ func FuzzBatchFrame(f *testing.F) {
 	if wire, err := EncodeResultBatch(nil, EncodingJSON, sampleResultBatch()); err == nil {
 		f.Add(wire)
 	}
-	// A binary frame followed by a legacy JSON line (mixed stream).
+	// A binary frame followed by a JSON line of an unknown type.
 	if wire, err := EncodeResultBatch(nil, EncodingBinary, sampleResultBatch()); err == nil {
 		f.Add(append(wire, []byte(`{"type":"probe","epoch":1,"pathId":2,"links":[0],"dstName":"d"}`+"\n")...))
 	}
@@ -174,7 +86,7 @@ func FuzzBatchFrame(f *testing.F) {
 				return // EOF or rejection: fine, as long as nothing panicked
 			}
 			switch msg.(type) {
-			case *ProbeRequest, *ProbeResult, *ProbeBatch, *ResultBatch, shutdownMsg:
+			case *ProbeBatch, *ResultBatch:
 			default:
 				t.Fatalf("readMessage produced unknown type %T", msg)
 			}

@@ -4,26 +4,26 @@ import (
 	"robusttomo/internal/obs"
 )
 
-// nocMetrics holds the NOC's pre-interned instrument handles. With no
+// batchSizeBuckets grades batch-frame path counts: probe batches run from a
+// single path up to the whole panel share of one monitor.
+var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+
+// streamMetrics holds the NOC's pre-interned instrument handles. With no
 // observer registry installed every field is nil, and each update is the
 // obs package's single nil check — the collection hot path never branches
 // on a registry pointer or allocates for observability.
-type nocMetrics struct {
+type streamMetrics struct {
 	reg *obs.Registry
 
-	// dialSeconds / exchangeSeconds time one TCP dial attempt and one
-	// pipelined epoch exchange respectively.
-	dialSeconds     *obs.Histogram
-	exchangeSeconds *obs.Histogram
-	// attempts counts connect+exchange attempts; retries counts the
-	// attempts beyond the first per monitor-epoch; backoffSeconds records
-	// the backoff sleeps the retry loop actually paid.
-	attempts       *obs.Counter
-	retries        *obs.Counter
-	backoffSeconds *obs.Histogram
+	// dialSeconds times one TCP dial attempt (success or failure).
+	dialSeconds *obs.Histogram
+	// attempts counts connect+send attempts; retries counts the attempts
+	// beyond the first per monitor-epoch.
+	attempts *obs.Counter
+	retries  *obs.Counter
 	// circuitDenied counts attempts rejected by an open breaker.
 	circuitDenied *obs.Counter
-	// epochs / degradedEpochs / lostPaths summarize CollectEpoch outcomes;
+	// epochs / degradedEpochs / lostPaths summarize collection outcomes;
 	// lostPaths counts selected paths that produced no measurement because
 	// their monitor delivered nothing (the partial-epoch currency).
 	epochs         *obs.Counter
@@ -33,46 +33,6 @@ type nocMetrics struct {
 	// (0 closed, 1 open, 2 half-open), pre-interned per monitor at NOC
 	// construction.
 	breakerState *obs.GaugeVec
-}
-
-// newNOCMetrics registers the agent metric families. A nil registry
-// yields all-nil handles (the unobserved mode).
-func newNOCMetrics(reg *obs.Registry) *nocMetrics {
-	return &nocMetrics{
-		reg: reg,
-		dialSeconds: reg.Histogram("tomo_agent_dial_seconds",
-			"Latency of one TCP dial attempt to a monitor.", obs.DefBuckets),
-		exchangeSeconds: reg.Histogram("tomo_agent_exchange_seconds",
-			"Latency of one pipelined epoch exchange with a monitor.", obs.DefBuckets),
-		attempts: reg.Counter("tomo_agent_attempts_total",
-			"Connect+exchange attempts across all monitors."),
-		retries: reg.Counter("tomo_agent_retries_total",
-			"Attempts beyond the first within one monitor-epoch."),
-		backoffSeconds: reg.Histogram("tomo_agent_backoff_seconds",
-			"Backoff sleeps paid between retry attempts.", obs.DefBuckets),
-		circuitDenied: reg.Counter("tomo_agent_circuit_denied_total",
-			"Attempts rejected because a monitor's circuit breaker was open."),
-		epochs: reg.Counter("tomo_agent_epochs_total",
-			"CollectEpoch calls."),
-		degradedEpochs: reg.Counter("tomo_agent_degraded_epochs_total",
-			"Epochs in which at least one monitor delivered nothing."),
-		lostPaths: reg.Counter("tomo_agent_lost_paths_total",
-			"Selected paths that produced no measurement due to monitor failure."),
-		breakerState: reg.GaugeVec("tomo_agent_breaker_state",
-			"Per-monitor circuit-breaker state: 0 closed, 1 open, 2 half-open.", "monitor"),
-	}
-}
-
-// batchSizeBuckets grades batch-frame path counts: probe batches run from a
-// single path up to the whole panel share of one monitor.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-
-// streamMetrics holds the streaming plane's pre-interned handles, layered
-// on top of the shared nocMetrics families (epochs, degraded epochs, lost
-// paths, breaker states, dial latency). Nil-registry mode works the same
-// way: every handle is nil and updates cost one nil check.
-type streamMetrics struct {
-	*nocMetrics
 
 	// framesSent / framesReceived count batch frames on the wire in each
 	// direction (one probe batch out, one result batch back per
@@ -84,11 +44,12 @@ type streamMetrics struct {
 	// watermarkLag records how far behind its epoch's seal a late result
 	// arrived (observed only for epochs whose seal time is still tracked).
 	watermarkLag *obs.Histogram
-	// lateResults / duplicateResults / lateDropped count assembler routing
-	// outcomes; backpressureDrops counts probe batches rejected because a
-	// shard's send queue was full.
+	// lateResults / duplicateResults / foreignResults / lateDropped count
+	// assembler routing outcomes; backpressureDrops counts probe batches
+	// rejected because a shard's send queue was full.
 	lateResults       *obs.Counter
 	duplicateResults  *obs.Counter
+	foreignResults    *obs.Counter
 	lateDropped       *obs.Counter
 	backpressureDrops *obs.Counter
 	// watermarkMissed counts monitor-epochs sealed with outstanding paths.
@@ -98,10 +59,27 @@ type streamMetrics struct {
 	queueDepth *obs.GaugeVec
 }
 
-// newStreamMetrics registers the streaming-plane metric families.
+// newStreamMetrics registers the collection plane's metric families. A nil
+// registry yields all-nil handles (the unobserved mode).
 func newStreamMetrics(reg *obs.Registry) *streamMetrics {
 	return &streamMetrics{
-		nocMetrics: newNOCMetrics(reg),
+		reg: reg,
+		dialSeconds: reg.Histogram("tomo_agent_dial_seconds",
+			"Latency of one TCP dial attempt to a monitor.", obs.DefBuckets),
+		attempts: reg.Counter("tomo_agent_attempts_total",
+			"Connect+send attempts across all monitors."),
+		retries: reg.Counter("tomo_agent_retries_total",
+			"Attempts beyond the first within one monitor-epoch."),
+		circuitDenied: reg.Counter("tomo_agent_circuit_denied_total",
+			"Attempts rejected because a monitor's circuit breaker was open."),
+		epochs: reg.Counter("tomo_agent_epochs_total",
+			"Epoch collections."),
+		degradedEpochs: reg.Counter("tomo_agent_degraded_epochs_total",
+			"Epochs in which at least one monitor delivered nothing."),
+		lostPaths: reg.Counter("tomo_agent_lost_paths_total",
+			"Selected paths that produced no measurement due to monitor failure."),
+		breakerState: reg.GaugeVec("tomo_agent_breaker_state",
+			"Per-monitor circuit-breaker state: 0 closed, 1 open, 2 half-open.", "monitor"),
 		framesSent: reg.Counter("tomo_stream_frames_sent_total",
 			"Probe batch frames written to monitor transports."),
 		framesReceived: reg.Counter("tomo_stream_frames_received_total",
@@ -114,6 +92,8 @@ func newStreamMetrics(reg *obs.Registry) *streamMetrics {
 			"Results that arrived after their epoch sealed (folded forward)."),
 		duplicateResults: reg.Counter("tomo_stream_duplicate_results_total",
 			"Results discarded by first-wins dedup."),
+		foreignResults: reg.Counter("tomo_stream_foreign_results_total",
+			"Results dropped because their path was not probed in that epoch."),
 		lateDropped: reg.Counter("tomo_stream_late_dropped_total",
 			"Late results dropped because the late buffer was full."),
 		backpressureDrops: reg.Counter("tomo_stream_backpressure_drops_total",

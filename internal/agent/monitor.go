@@ -2,11 +2,12 @@ package agent
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+
+	"robusttomo/internal/failure"
 )
 
 // LinkOracle answers, for a given epoch, the state of the simulated
@@ -20,8 +21,8 @@ type LinkOracle interface {
 }
 
 // Monitor is a TCP server playing the role of a vantage point at the
-// network edge: it receives probe requests from the NOC, "sends the probe"
-// (consults the link oracle), and returns the measurement.
+// network edge: it receives probe batches from the NOC, "sends the probes"
+// (consults the link oracle), and returns the measurements in one frame.
 type Monitor struct {
 	name   string
 	oracle LinkOracle
@@ -131,67 +132,45 @@ func (m *Monitor) serve(conn net.Conn) {
 		if err != nil {
 			return // peer closed or protocol error: drop the session
 		}
-		switch req := msg.(type) {
-		case *ProbeRequest:
-			value, ok := m.oracle.Measure(req.Epoch, req.Links)
-			res := ProbeResult{
-				Type:    MsgResult,
-				Epoch:   req.Epoch,
-				PathID:  req.PathID,
-				OK:      ok,
-				Monitor: m.name,
-			}
+		req, ok := msg.(*ProbeBatch)
+		if !ok {
+			return // results flowing the wrong way: terminate
+		}
+		// Measure the whole path batch and answer with one frame in the
+		// encoding the request arrived in. The monitor name echoes the
+		// batch's session identity, so one TCP connection can carry many
+		// multiplexed monitor sessions.
+		res := ResultBatch{
+			Type:    MsgBatchResult,
+			Epoch:   req.Epoch,
+			Monitor: req.Monitor,
+			Results: make([]BatchResult, len(req.Paths)),
+		}
+		if res.Monitor == "" {
+			res.Monitor = m.name
+		}
+		for i := range req.Paths {
+			p := &req.Paths[i]
+			value, ok := m.oracle.Measure(req.Epoch, p.Links)
+			res.Results[i] = BatchResult{PathID: p.PathID, OK: ok}
 			if ok {
-				res.Value = value
+				res.Results[i].Value = value
 			}
-			if err := writeMsg(w, res); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
-				return
-			}
-			m.mu.Lock()
-			m.probesServed++
-			m.mu.Unlock()
-		case *ProbeBatch:
-			// Batched probing: measure the whole path batch and answer with
-			// one frame in the encoding the request arrived in. The monitor
-			// name echoes the batch's session identity, so one TCP
-			// connection can carry many multiplexed monitor sessions.
-			res := ResultBatch{
-				Type:    MsgBatchResult,
-				Epoch:   req.Epoch,
-				Monitor: req.Monitor,
-				Results: make([]BatchResult, len(req.Paths)),
-			}
-			if res.Monitor == "" {
-				res.Monitor = m.name
-			}
-			for i := range req.Paths {
-				p := &req.Paths[i]
-				value, ok := m.oracle.Measure(req.Epoch, p.Links)
-				res.Results[i] = BatchResult{PathID: p.PathID, OK: ok}
-				if ok {
-					res.Results[i].Value = value
-				}
-			}
-			scratch, err = EncodeResultBatch(scratch[:0], req.enc, &res)
-			if err != nil {
-				return
-			}
-			if _, err := w.Write(scratch); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
-				return
-			}
-			m.mu.Lock()
-			m.probesServed += len(req.Paths)
-			m.mu.Unlock()
-		case shutdownMsg:
+		}
+		scratch, err = EncodeResultBatch(scratch[:0], req.enc, &res)
+		if err != nil {
 			return
-		default:
-			return // results flowing the wrong way, or unknown: terminate
+		}
+		// Count before replying, so a NOC holding the reply also sees
+		// the count.
+		m.mu.Lock()
+		m.probesServed += len(req.Paths)
+		m.mu.Unlock()
+		if _, err := w.Write(scratch); err != nil {
+			return
+		}
+		if err := w.Flush(); err != nil {
+			return
 		}
 	}
 }
@@ -217,9 +196,49 @@ func (m *Monitor) Close() error {
 	return nil
 }
 
-func unmarshalStrict(line []byte, v any) error {
-	if err := json.Unmarshal(line, v); err != nil {
-		return fmt.Errorf("agent: decode: %w", err)
+// EpochOracle is the LinkOracle used across this repository's examples and
+// tests: ground-truth link metrics plus a per-epoch failure scenario
+// schedule. Epoch scenarios are fixed up front so every monitor observes a
+// consistent network state.
+type EpochOracle struct {
+	metrics   []float64
+	scenarios []failure.Scenario
+}
+
+// NewEpochOracle builds an oracle over ground-truth metrics and a schedule
+// of failure scenarios (epoch e uses scenarios[e]; epochs beyond the
+// schedule see a failure-free network).
+func NewEpochOracle(metrics []float64, scenarios []failure.Scenario) (*EpochOracle, error) {
+	if len(metrics) == 0 {
+		return nil, fmt.Errorf("agent: no link metrics")
 	}
-	return nil
+	for _, sc := range scenarios {
+		if len(sc.Failed) != len(metrics) {
+			return nil, fmt.Errorf("agent: scenario covers %d links, metrics %d", len(sc.Failed), len(metrics))
+		}
+	}
+	cp := make([]float64, len(metrics))
+	copy(cp, metrics)
+	return &EpochOracle{metrics: cp, scenarios: scenarios}, nil
+}
+
+var _ LinkOracle = (*EpochOracle)(nil)
+
+// Measure implements LinkOracle.
+func (o *EpochOracle) Measure(epoch int, links []int) (float64, bool) {
+	var sc *failure.Scenario
+	if epoch >= 0 && epoch < len(o.scenarios) {
+		sc = &o.scenarios[epoch]
+	}
+	sum := 0.0
+	for _, l := range links {
+		if l < 0 || l >= len(o.metrics) {
+			return 0, false
+		}
+		if sc != nil && sc.Failed[l] {
+			return 0, false
+		}
+		sum += o.metrics[l]
+	}
+	return sum, true
 }

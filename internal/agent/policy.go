@@ -1,93 +1,40 @@
 package agent
 
-import (
-	"context"
-	"math/rand/v2"
-	"time"
-)
+import "time"
 
-// RetryPolicy bounds how hard the NOC tries to collect from one monitor
-// within one epoch. Zero fields take the DefaultRetryPolicy values; set
-// MaxAttempts to 1 to disable retries.
+// RetryPolicy bounds how hard the NOC tries to send one monitor's probe
+// batch within one epoch. Retries are immediate reconnects: the shard loop
+// never sleeps (that would head-of-line block every session on the
+// shard), and the breaker's cooldown is the backoff across epochs. A zero
+// MaxAttempts takes the DefaultRetryPolicy value; set it to 1 to disable
+// retries.
 type RetryPolicy struct {
-	// MaxAttempts is the total number of connect+exchange attempts per
+	// MaxAttempts is the total number of connect+send attempts per
 	// monitor per epoch (not per probe). 0 means 3.
 	MaxAttempts int
-	// BaseBackoff is the delay before the first retry. 0 means 50ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth. 0 means 2s.
-	MaxBackoff time.Duration
-	// Multiplier is the exponential growth factor. 0 means 2.
-	Multiplier float64
-	// Jitter is the fraction of the backoff randomized away, in [0, 1]:
-	// the k-th retry sleeps min(Base·Mult^(k−1), Max) · (1 − Jitter·U)
-	// with U uniform in [0, 1) drawn from a deterministic per-monitor
-	// stream (stats.NewRNG seeded by NOCConfig.Seed). 0 means 0.5; set a
-	// negative value for no jitter.
-	Jitter float64
 }
 
-// DefaultRetryPolicy returns the retry defaults: 3 attempts, 50ms base
-// backoff doubling up to 2s, half-range deterministic jitter.
+// DefaultRetryPolicy returns the retry defaults: 3 attempts.
 func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 3,
-		BaseBackoff: 50 * time.Millisecond,
-		MaxBackoff:  2 * time.Second,
-		Multiplier:  2,
-		Jitter:      0.5,
-	}
+	return RetryPolicy{MaxAttempts: 3}
 }
 
 // withDefaults fills zero fields with the default values.
 func (p RetryPolicy) withDefaults() RetryPolicy {
-	d := DefaultRetryPolicy()
 	if p.MaxAttempts == 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.BaseBackoff == 0 {
-		p.BaseBackoff = d.BaseBackoff
-	}
-	if p.MaxBackoff == 0 {
-		p.MaxBackoff = d.MaxBackoff
-	}
-	if p.Multiplier == 0 {
-		p.Multiplier = d.Multiplier
-	}
-	if p.Jitter == 0 {
-		p.Jitter = d.Jitter
-	} else if p.Jitter < 0 {
-		p.Jitter = 0
+		p.MaxAttempts = DefaultRetryPolicy().MaxAttempts
 	}
 	return p
-}
-
-// backoff returns the sleep before retry number attempt (attempt ≥ 1 is
-// the retry after the attempt-th failure). The rng supplies the
-// deterministic jitter stream; it must not be shared across goroutines.
-func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
-	d := float64(p.BaseBackoff)
-	for i := 1; i < attempt; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.MaxBackoff) {
-			d = float64(p.MaxBackoff)
-			break
-		}
-	}
-	if d > float64(p.MaxBackoff) {
-		d = float64(p.MaxBackoff)
-	}
-	if p.Jitter > 0 && rng != nil {
-		d *= 1 - p.Jitter*rng.Float64()
-	}
-	return time.Duration(d)
 }
 
 // BreakerPolicy configures the per-monitor circuit breaker. Zero fields
 // take the DefaultBreakerPolicy values.
 type BreakerPolicy struct {
 	// FailureThreshold is the number of consecutive failed attempts that
-	// trips the breaker from closed to open. 0 means 5.
+	// trips the breaker from closed to open. A failed attempt is a send
+	// that could not connect or write, a written batch whose connection
+	// was lost before the answer came back, or a batch still unanswered
+	// at the watermark. 0 means 5.
 	FailureThreshold int
 	// Cooldown is how long an open breaker rejects attempts before
 	// admitting one half-open probe. 0 means 2s.
@@ -120,13 +67,13 @@ func (p BreakerPolicy) withDefaults() BreakerPolicy {
 type Timeouts struct {
 	// Dial bounds one connection attempt. 0 means 5s.
 	Dial time.Duration
-	// Exchange bounds one request/response exchange with a monitor (the
-	// whole pipelined epoch batch for that monitor). 0 means 10s; the
-	// context deadline still applies when sooner.
+	// Exchange is the write deadline for one probe frame. 0 means 10s.
+	// How long an epoch waits for the answers is StreamConfig.Watermark.
 	Exchange time.Duration
 }
 
-// DefaultTimeouts returns the timeout defaults: 5s dial, 10s exchange.
+// DefaultTimeouts returns the timeout defaults: 5s dial, 10s per-frame
+// write.
 func DefaultTimeouts() Timeouts {
 	return Timeouts{Dial: 5 * time.Second, Exchange: 10 * time.Second}
 }
@@ -141,20 +88,4 @@ func (t Timeouts) withDefaults() Timeouts {
 		t.Exchange = d.Exchange
 	}
 	return t
-}
-
-// sleepCtx sleeps for d or until the context is done, reporting whether
-// the full sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

@@ -1,80 +1,39 @@
 // Package agent is the measurement-collection substrate: monitor agents
 // that answer probes over TCP and a Network Operations Center (NOC)
-// collector that schedules epochs, probes the selected paths through the
-// monitors, injects link failures, and hands the surviving end-to-end
-// measurements to the tomography stack.
+// collector, StreamNOC, that schedules epochs, probes the selected paths
+// through the monitors, and hands the surviving end-to-end measurements to
+// the tomography stack.
 //
 // The paper assumes this plumbing exists ("monitors probe each other to
 // collect e2e measurements ... centrally collected at a NOC"); this package
 // builds it as an in-process distributed system: every monitor is a real
-// TCP server speaking a line-delimited JSON protocol, and the NOC fans
-// probe requests out concurrently. The network itself is simulated — a
-// probe's measured value is the sum of the ground-truth link metrics on its
-// path, and a probe fails when any link on the path is down in the current
-// epoch — which preserves exactly the linear-system semantics (Eq. 1) the
-// algorithms consume.
+// TCP server answering batched probe frames (length-prefixed binary by
+// default, one JSON line per batch for debugging), and the NOC sends one
+// frame per monitor per epoch over persistent sharded sessions. The
+// network itself is simulated — a probe's measured value is the sum of the
+// ground-truth link metrics on its path, and a probe fails when any link
+// on the path is down in the current epoch — which preserves exactly the
+// linear-system semantics (Eq. 1) the algorithms consume.
 package agent
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
-// MsgType enumerates protocol messages.
+// MsgType names the JSON fallback's batch messages (MsgBatch,
+// MsgBatchResult).
 type MsgType string
 
-// Protocol message types.
-const (
-	MsgProbe    MsgType = "probe"    // NOC → monitor: measure a path
-	MsgResult   MsgType = "result"   // monitor → NOC: measurement outcome
-	MsgShutdown MsgType = "shutdown" // NOC → monitor: drain and exit
-)
-
-// ProbeRequest asks a monitor to probe one path during one epoch.
-type ProbeRequest struct {
-	Type    MsgType `json:"type"`
-	Epoch   int     `json:"epoch"`
-	PathID  int     `json:"pathId"`
-	Links   []int   `json:"links"` // link IDs along the path
-	DstName string  `json:"dstName"`
-}
-
-// ProbeResult reports a measurement back to the NOC.
-//
-// Value must not carry omitempty: a legitimate measurement of exactly 0
-// would be silently dropped from the wire and the NOC could not tell it
-// apart from an absent field (regression-tested by
-// TestProbeResultZeroValueRoundTrip).
-type ProbeResult struct {
-	Type    MsgType `json:"type"`
-	Epoch   int     `json:"epoch"`
-	PathID  int     `json:"pathId"`
-	OK      bool    `json:"ok"` // false when a link on the path was down
-	Value   float64 `json:"value"`
-	Monitor string  `json:"monitor"`
-}
-
-// marshalMsg marshals v as one JSON line, newline included.
-func marshalMsg(v any) ([]byte, error) {
+// appendJSONLine appends v as one JSON protocol line, newline included.
+func appendJSONLine(dst []byte, v any) ([]byte, error) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		return nil, fmt.Errorf("agent: marshal: %w", err)
+		return dst, fmt.Errorf("agent: marshal: %w", err)
 	}
-	return append(data, '\n'), nil
-}
-
-// writeMsg marshals v as one JSON line.
-func writeMsg(w io.Writer, v any) error {
-	data, err := marshalMsg(v)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("agent: write: %w", err)
-	}
-	return nil
+	dst = append(dst, data...)
+	return append(dst, '\n'), nil
 }
 
 // maxLine bounds one JSON protocol line (including the newline). The bound
@@ -114,4 +73,11 @@ func peekType(line []byte) (MsgType, error) {
 		return "", fmt.Errorf("agent: malformed message: %w", err)
 	}
 	return head.Type, nil
+}
+
+func unmarshalStrict(line []byte, v any) error {
+	if err := json.Unmarshal(line, v); err != nil {
+		return fmt.Errorf("agent: decode: %w", err)
+	}
+	return nil
 }

@@ -3,42 +3,68 @@ package agent
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"io"
+	"net"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestProbeResultZeroValueRoundTrip is the regression test for the
-// `omitempty` bug: a successful probe whose measurement is exactly 0 must
-// survive the wire with the value field present, not silently dropped and
-// re-zeroed on the far side (indistinguishable from an absent field).
+// `omitempty` bug, end to end: a real monitor that measures a path at
+// exactly 0 must put the value field on the wire in its JSON reply, and
+// both encodings must decode it as a successful 0 measurement, not as an
+// absent field re-zeroed on the far side.
 func TestProbeResultZeroValueRoundTrip(t *testing.T) {
-	res := ProbeResult{
-		Type:    MsgResult,
-		Epoch:   3,
-		PathID:  7,
-		OK:      true,
-		Value:   0,
-		Monitor: "m0",
-	}
-	var buf bytes.Buffer
-	if err := writeMsg(&buf, res); err != nil {
-		t.Fatalf("writeMsg: %v", err)
-	}
-	if !strings.Contains(buf.String(), `"value":0`) {
-		t.Fatalf("zero value omitted from the wire: %s", buf.String())
-	}
-	line, err := readLine(bufio.NewReader(&buf))
+	oracle, err := NewEpochOracle([]float64{0, 2}, nil)
 	if err != nil {
-		t.Fatalf("readLine: %v", err)
+		t.Fatal(err)
 	}
-	var got ProbeResult
-	if err := json.Unmarshal(line, &got); err != nil {
-		t.Fatalf("decode: %v", err)
+	m, err := StartMonitor("m0", "127.0.0.1:0", oracle)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got != res {
-		t.Fatalf("round trip: got %+v, want %+v", got, res)
+	defer m.Close()
+	conn, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+
+	probe := &ProbeBatch{Type: MsgBatch, Epoch: 3, Monitor: "m0",
+		Paths: []BatchPath{{PathID: 7, Links: []int{0}}}}
+	want := &ResultBatch{Type: MsgBatchResult, Epoch: 3, Monitor: "m0",
+		Results: []BatchResult{{PathID: 7, OK: true, Value: 0}}}
+	for _, enc := range []Encoding{EncodingJSON, EncodingBinary} {
+		wire, err := EncodeProbeBatch(nil, enc, probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		var msg any
+		if enc == EncodingJSON {
+			line, err := readLine(r)
+			if err != nil {
+				t.Fatalf("%v reply: %v", enc, err)
+			}
+			if !strings.Contains(string(line), `"value":0`) {
+				t.Fatalf("zero value omitted from the monitor's reply: %s", line)
+			}
+			msg, err = readMessage(bufio.NewReader(bytes.NewReader(line)))
+			if err != nil {
+				t.Fatalf("%v decode: %v", enc, err)
+			}
+		} else if msg, err = readMessage(r); err != nil {
+			t.Fatalf("%v reply: %v", enc, err)
+		}
+		if got, ok := msg.(*ResultBatch); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v round trip: got %+v, want %+v", enc, msg, want)
+		}
 	}
 }
 

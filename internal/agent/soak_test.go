@@ -19,9 +19,11 @@ import (
 // TestAgentSoak hammers the fault-tolerant collection plane for a few
 // seconds: three monitors behind seeded fault scripts (rejects, mid-stream
 // resets, garbage frames), four concurrent collectors, and a monitor that
-// is killed and restarted mid-run. Invariants: every epoch ends in either
-// full data or a typed *CollectionError, OK measurements are exact, and
-// the run finishes inside the bound.
+// is killed and restarted mid-run. Each collector owns the epochs
+// congruent to its index, because the assembler opens an epoch once.
+// Invariants: every epoch ends in either full data or a typed
+// *CollectionError, OK measurements are exact, and the run finishes inside
+// the bound.
 //
 // Gated behind AGENT_SOAK=1 (wired as `make soak-agent`, bounded < 30s);
 // the regular suite covers the same paths with single-shot scripts.
@@ -104,14 +106,14 @@ func TestAgentSoak(t *testing.T) {
 		}
 	}
 
-	noc, err := NewNOC(NOCConfig{
-		PM:       pm,
-		Monitors: addrs,
-		SourceOf: func(p int) string { return names[pm.Path(p).Src] },
-		Retry:    RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond, Multiplier: 2, Jitter: 0.5},
-		Breaker:  BreakerPolicy{FailureThreshold: 4, Cooldown: 200 * time.Millisecond},
-		Timeouts: Timeouts{Dial: 300 * time.Millisecond, Exchange: 2 * time.Second},
-		Seed:     2014,
+	noc, err := NewStreamNOC(StreamConfig{
+		PM:        pm,
+		Monitors:  addrs,
+		SourceOf:  func(p int) string { return names[pm.Path(p).Src] },
+		Watermark: 200 * time.Millisecond,
+		Retry:     RetryPolicy{MaxAttempts: 3},
+		Breaker:   BreakerPolicy{FailureThreshold: 4, Cooldown: 200 * time.Millisecond},
+		Timeouts:  Timeouts{Dial: 300 * time.Millisecond, Exchange: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

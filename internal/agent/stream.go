@@ -3,7 +3,9 @@ package agent
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"net"
 	"sort"
 	"strconv"
@@ -14,16 +16,16 @@ import (
 	"robusttomo/internal/tomo"
 )
 
-// StreamNOC is the streaming collection plane: the batched, sharded
-// successor to NOC's per-path fan-out. Instead of one JSON line per probe
-// and a goroutine per monitor per epoch, it keeps every monitor session
-// persistent inside one of N shards, sends one batched probe frame per
-// monitor per epoch through the shard's event loop, ingests result frames
-// continuously off per-connection reader goroutines, and assembles epochs
-// at a watermark: an epoch is handed back when every expected path reported
-// or when the watermark elapses, whichever comes first. Results that arrive
-// after their epoch sealed are folded forward into the next epoch's
-// AssembledEpoch.Late instead of being dropped.
+// StreamNOC is the Network Operations Center: it owns the selected probing
+// paths, maps each path to the monitor at its source, and collects one
+// round of end-to-end measurements per epoch. It keeps every monitor
+// session persistent inside one of N shards, sends one batched probe frame
+// per monitor per epoch through the shard's event loop, ingests result
+// frames continuously off per-connection reader goroutines, and assembles
+// epochs at a watermark: an epoch is handed back when every expected path
+// reported or when the watermark elapses, whichever comes first. Results
+// that arrive after their epoch sealed are folded forward into the next
+// epoch's AssembledEpoch.Late instead of being dropped.
 //
 // Sessions are logical: SessionsPerConn of them multiplex over each TCP
 // connection (the batch frames carry the session's monitor name, and the
@@ -32,12 +34,13 @@ import (
 // breaker and transport never migrate — so per-session state needs no
 // cross-shard coordination.
 //
-// Failure semantics mirror the legacy NOC: per-session circuit breakers
-// deny sends to monitors that keep failing, failed or missing monitors
-// degrade the epoch via *CollectionError (wrapping ErrMonitorUnreachable,
-// plus ErrWatermark or ErrBackpressure for the streaming-specific causes),
-// and FailFast restores abort-the-epoch. StreamNOC implements the same
-// CollectEpoch contract as NOC, so it drops into sim.Runner unchanged.
+// The plane is fault-tolerant: per-session circuit breakers deny sends to
+// monitors that keep failing, and by default failed or missing monitors
+// degrade the epoch instead of aborting it — the caller gets the
+// measurements that did arrive plus a *CollectionError (wrapping
+// ErrMonitorUnreachable, plus ErrCircuitOpen, ErrWatermark or
+// ErrBackpressure for the cause). FailFast discards degraded epochs
+// instead.
 type StreamNOC struct {
 	pm       *tomo.PathMatrix
 	srcOf    func(path int) string
@@ -55,7 +58,7 @@ type StreamNOC struct {
 	closed    chan struct{}
 }
 
-// StreamConfig wires up a streaming collector.
+// StreamConfig wires up a collector.
 type StreamConfig struct {
 	PM *tomo.PathMatrix
 	// Monitors maps monitor names to TCP addresses. Many monitors may
@@ -86,21 +89,23 @@ type StreamConfig struct {
 	// EncodingJSON for debugging with line-oriented tools).
 	Encoding Encoding
 
-	// Retry bounds send attempts per batch (no backoff sleeps inside the
-	// shard loop — the breaker provides cross-epoch backoff); zero fields
-	// take DefaultRetryPolicy values.
+	// Retry bounds send attempts per batch; retries are immediate
+	// reconnects. A zero MaxAttempts takes the DefaultRetryPolicy value.
 	Retry RetryPolicy
-	// Breaker configures the per-session circuit breaker.
+	// Breaker configures the per-session circuit breaker; zero fields take
+	// DefaultBreakerPolicy values.
 	Breaker BreakerPolicy
-	// Timeouts groups the dial and per-send write deadlines.
+	// Timeouts groups the dial and per-frame write deadlines; zero fields
+	// take DefaultTimeouts values.
 	Timeouts Timeouts
-	// FailFast aborts the whole epoch on any failed monitor.
+	// FailFast discards a degraded epoch: no in-time measurements, the
+	// same *CollectionError.
 	FailFast bool
-	// Seed derives deterministic per-session jitter streams.
+	// Seed is accepted but not read: the plane draws no random numbers.
 	Seed uint64
 	// Dial overrides the TCP dialer.
 	Dial DialFunc
-	// Observer receives the streaming plane's metrics; nil runs
+	// Observer receives the plane's metrics and trace spans; nil runs
 	// unobserved.
 	Observer *obs.Registry
 
@@ -130,9 +135,20 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	return c
 }
 
-// streamSession is one logical monitor session: breaker state, jitter
-// stream and a fixed transport assignment. The session mutex only guards
-// the breaker gauge write ordering; breakers are internally locked.
+// DialFunc opens a connection to a monitor; it matches
+// (*net.Dialer).DialContext so custom dialers (fault injection, proxies,
+// in-memory transports) drop in.
+type DialFunc func(ctx context.Context, network, addr string) (net.Conn, error)
+
+// streamOf hashes a monitor name into a stable shard-assignment value.
+func streamOf(name string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return h.Sum64()
+}
+
+// streamSession is one logical monitor session: breaker state and a fixed
+// transport assignment. Breakers are internally locked.
 type streamSession struct {
 	name     string
 	shard    int
@@ -149,17 +165,24 @@ func (ss *streamSession) setBreakerGauge() {
 type streamJob struct {
 	sess  *streamSession
 	batch ProbeBatch
-	// fail reports the paths as unsendable back to the collecting epoch
-	// (records the outcome and shrinks the assembler expectation).
-	fail func(attempts int, err error)
+	paths []int         // the batch's path IDs
+	cs    *collectState // the collecting epoch's send-side outcomes
+	// attempts counts the sends spent on this batch, including one whose
+	// connection was lost before the answer came back; lost is that read
+	// error, set when the transport hands the job back for a resend.
+	attempts int
+	lost     error
 }
 
 // streamShard owns a slice of the session table: a bounded send queue
 // drained by one event loop goroutine, plus the transports its sessions
 // write through.
 type streamShard struct {
-	id         int
-	queue      chan streamJob
+	id int
+	// queue carries pointers: every NOC allocates Shards×QueueDepth slots
+	// up front (4×1024 by default), and a pointer slot is 8 bytes where a
+	// streamJob is 88, which keeps an idle NOC's heap small.
+	queue      chan *streamJob
 	depthGauge *obs.Gauge
 	transports []*streamTransport
 	wg         sync.WaitGroup
@@ -174,13 +197,35 @@ type streamTransport struct {
 	dial     DialFunc
 	timeouts Timeouts
 	onFrame  func(*ResultBatch)
+	onLost   func(jobs []*streamJob, err error)
 	dialHist *obs.Histogram
 
 	mu   sync.Mutex
 	conn net.Conn
 	gen  int // connection generation; a reader only tears down its own conn
 
+	// inflight holds the jobs written to a connection whose result frame
+	// has not come back, so a lost connection can hand them back for a
+	// resend. It has its own lock: the reader must never wait behind a
+	// blocked write.
+	fmu      sync.Mutex
+	inflight map[flightKey]flight
+
 	readers sync.WaitGroup
+}
+
+// flightKey names one session's batch for one epoch: a monitor answers it
+// with exactly one result frame.
+type flightKey struct {
+	epoch   int
+	monitor string
+}
+
+// flight is an in-flight job and the generation of the connection that
+// carried it.
+type flight struct {
+	job *streamJob
+	gen int
 }
 
 func (t *streamTransport) connectLocked(ctx context.Context) error {
@@ -214,17 +259,19 @@ func (t *streamTransport) connectLocked(ctx context.Context) error {
 
 // readLoop drains result frames off one connection until it dies, handing
 // each to the assembler via onFrame. Any read error (including the NOC
-// closing the conn) ends the loop; the next send redials.
+// closing the conn or a garbage frame) ends the loop and hands the
+// connection's unanswered jobs back for a resend; the next send redials.
 func (t *streamTransport) readLoop(conn net.Conn, gen int) {
 	defer t.readers.Done()
-	r := newFrameReader(conn)
+	r := bufio.NewReader(conn)
 	for {
 		msg, err := readMessage(r)
 		if err != nil {
-			t.lost(conn, gen)
+			t.lost(conn, gen, err)
 			return
 		}
 		if rb, ok := msg.(*ResultBatch); ok {
+			t.settle(rb.Epoch, rb.Monitor)
 			t.onFrame(rb)
 		}
 		// Anything else on the NOC side of the stream is protocol noise;
@@ -233,38 +280,72 @@ func (t *streamTransport) readLoop(conn net.Conn, gen int) {
 }
 
 // lost tears down the transport's connection if it is still the one the
-// failed reader was serving.
-func (t *streamTransport) lost(conn net.Conn, gen int) {
+// failed reader was serving, then hands every job that connection carried
+// without an answer to onLost.
+func (t *streamTransport) lost(conn net.Conn, gen int, err error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.gen == gen && t.conn == conn {
 		t.conn.Close()
 		t.conn = nil
 	} else {
 		conn.Close()
 	}
+	t.mu.Unlock()
+
+	var jobs []*streamJob
+	t.fmu.Lock()
+	for k, f := range t.inflight {
+		if f.gen == gen {
+			jobs = append(jobs, f.job)
+			delete(t.inflight, k)
+		}
+	}
+	t.fmu.Unlock()
+	if len(jobs) > 0 {
+		t.onLost(jobs, fmt.Errorf("read %s: %w", t.addr, err))
+	}
 }
 
-// send writes one encoded frame, connecting if needed. Any error resets
-// the connection so the next send redials.
-func (t *streamTransport) send(ctx context.Context, frame []byte) error {
+// settle forgets a session's in-flight batch for an epoch: its answer
+// arrived, or the epoch sealed without it.
+func (t *streamTransport) settle(epoch int, monitor string) {
+	t.fmu.Lock()
+	delete(t.inflight, flightKey{epoch, monitor})
+	t.fmu.Unlock()
+}
+
+// send writes one encoded frame for job, connecting if needed, and records
+// the job as in flight on that connection. Any error resets the
+// connection so the next send redials.
+func (t *streamTransport) send(ctx context.Context, frame []byte, job *streamJob) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.connectLocked(ctx); err != nil {
 		return err
 	}
+	// Record before writing: the answer may be read before Write returns.
+	key := flightKey{job.batch.Epoch, job.batch.Monitor}
+	t.fmu.Lock()
+	t.inflight[key] = flight{job: job, gen: t.gen}
+	t.fmu.Unlock()
+	if err := t.writeLocked(frame); err != nil {
+		t.settle(key.epoch, key.monitor)
+		t.resetLocked()
+		return err
+	}
+	return nil
+}
+
+func (t *streamTransport) writeLocked(frame []byte) error {
 	if t.timeouts.Exchange > 0 {
 		if err := t.conn.SetWriteDeadline(time.Now().Add(t.timeouts.Exchange)); err != nil {
-			t.resetLocked()
 			return fmt.Errorf("deadline %s: %w", t.addr, err)
 		}
 	}
 	if _, err := t.conn.Write(frame); err != nil {
-		t.resetLocked()
 		return fmt.Errorf("write %s: %w", t.addr, err)
 	}
 	if err := t.conn.SetWriteDeadline(time.Time{}); err != nil {
-		t.resetLocked()
 		return fmt.Errorf("deadline %s: %w", t.addr, err)
 	}
 	return nil
@@ -300,6 +381,12 @@ func (cs *collectState) fail(name string, paths []int, attempts int, err error) 
 	}
 	cs.outcomes[name] = &MonitorOutcome{Monitor: name, Paths: paths, Attempts: attempts, Err: err}
 	return true
+}
+
+func (cs *collectState) isSealed() bool {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.sealed
 }
 
 // NewStreamNOC validates the wiring and starts the shard event loops.
@@ -338,7 +425,7 @@ func NewStreamNOC(cfg StreamConfig) (*StreamNOC, error) {
 	for i := range s.shards {
 		s.shards[i] = &streamShard{
 			id:         i,
-			queue:      make(chan streamJob, cfg.QueueDepth),
+			queue:      make(chan *streamJob, cfg.QueueDepth),
 			depthGauge: m.queueDepth.With(strconv.Itoa(i)),
 		}
 	}
@@ -362,7 +449,9 @@ func NewStreamNOC(cfg StreamConfig) (*StreamNOC, error) {
 				dial:     cfg.Dial,
 				timeouts: cfg.Timeouts,
 				onFrame:  s.handleResultBatch,
+				onLost:   s.resend,
 				dialHist: m.dialSeconds,
+				inflight: make(map[flightKey]flight),
 			}
 			s.shards[shard].transports = append(s.shards[shard].transports, tr)
 			open[key] = tr
@@ -388,17 +477,19 @@ func NewStreamNOC(cfg StreamConfig) (*StreamNOC, error) {
 }
 
 // shardLoop is one shard's event loop: it drains the send queue, encoding
-// and writing one batch frame per job. Send failures feed the session
-// breaker and report back to the collecting epoch; there is no in-loop
-// backoff sleep (that would head-of-line block every session on the
-// shard) — the breaker's cooldown provides backoff across epochs, and the
-// retry budget here is spent on immediate reconnect attempts.
+// and writing one batch frame per job. Each failed send attempt, and each
+// written batch whose connection was lost before the answer came back,
+// feeds the session breaker; once the retry budget is spent the job fails
+// back to the collecting epoch. There is no in-loop backoff sleep (that
+// would head-of-line block every session on the shard) — the breaker's
+// cooldown provides backoff across epochs, and the retry budget here is
+// spent on immediate reconnect attempts.
 func (s *StreamNOC) shardLoop(sh *streamShard) {
 	defer sh.wg.Done()
 	var scratch []byte
 	ctx := s.baseCtx
 	for {
-		var job streamJob
+		var job *streamJob
 		var ok bool
 		select {
 		case <-s.closed:
@@ -408,7 +499,7 @@ func (s *StreamNOC) shardLoop(sh *streamShard) {
 				if !ok {
 					return
 				}
-				job.fail(0, fmt.Errorf("%w: %s: stream NOC closed", ErrMonitorUnreachable, job.sess.name))
+				s.fail(job, fmt.Errorf("%w: %s: stream NOC closed", ErrMonitorUnreachable, job.sess.name))
 				continue
 			default:
 				return
@@ -421,40 +512,93 @@ func (s *StreamNOC) shardLoop(sh *streamShard) {
 		sh.depthGauge.Set(float64(len(sh.queue)))
 
 		ss := job.sess
-		if !ss.brk.allow() {
-			s.m.circuitDenied.Inc()
-			job.fail(0, fmt.Errorf("%w: monitor %s cooling down", ErrCircuitOpen, ss.name))
+		if job.lost != nil {
+			if job.cs.isSealed() {
+				// The epoch sealed before the resend: its paths already
+				// read as missing, and the seal counted the miss.
+				continue
+			}
+			// The batch was written but its connection died unanswered:
+			// that attempt failed.
+			ss.brk.failure()
 			ss.setBreakerGauge()
-			continue
 		}
-
 		var err error
 		scratch, err = EncodeProbeBatch(scratch[:0], s.cfg.Encoding, &job.batch)
 		if err != nil {
 			// Unencodable batch: a wiring bug, not the monitor's fault.
-			job.fail(0, fmt.Errorf("%w: %s: %w", ErrMonitorUnreachable, ss.name, err))
+			s.fail(job, fmt.Errorf("%w: %s: %w", ErrMonitorUnreachable, ss.name, err))
 			continue
 		}
-		attempts := 0
-		for attempts < s.cfg.Retry.MaxAttempts {
-			attempts++
-			s.m.attempts.Inc()
-			if attempts > 1 {
-				s.m.retries.Inc()
-			}
-			err = ss.tr.send(ctx, scratch)
-			if err == nil {
+		err = job.lost
+		sent := false
+		for !sent && job.attempts < s.cfg.Retry.MaxAttempts {
+			if !ss.brk.allow() {
+				s.m.circuitDenied.Inc()
+				err = fmt.Errorf("%w: monitor %s cooling down", ErrCircuitOpen, ss.name)
 				break
 			}
-		}
-		if err != nil {
+			job.attempts++
+			s.m.attempts.Inc()
+			if job.attempts > 1 {
+				s.m.retries.Inc()
+			}
+			if err = ss.tr.send(ctx, scratch, job); err == nil {
+				sent = true
+				break
+			}
 			ss.brk.failure()
 			ss.setBreakerGauge()
-			job.fail(attempts, fmt.Errorf("%w: %s after %d attempt(s): %w", ErrMonitorUnreachable, ss.name, attempts, err))
+		}
+		if !sent {
+			ss.setBreakerGauge()
+			if !errors.Is(err, ErrCircuitOpen) {
+				err = fmt.Errorf("%w: %s after %d attempt(s): %w", ErrMonitorUnreachable, ss.name, job.attempts, err)
+			}
+			s.fail(job, err)
 			continue
 		}
+		// The job may already be back in the queue (its connection lost):
+		// read nothing of it but the immutable batch from here on.
 		s.m.framesSent.Inc()
 		s.m.batchPaths.Observe(float64(len(job.batch.Paths)))
+	}
+}
+
+// fail reports a job's paths as unsendable back to the collecting epoch:
+// it records the outcome and shrinks the assembler expectation, so the
+// epoch need not wait out the watermark for answers that cannot come.
+func (s *StreamNOC) fail(job *streamJob, err error) {
+	if job.cs.fail(job.sess.name, job.paths, job.attempts, err) {
+		s.asm.abandon(job.batch.Epoch, job.paths)
+	}
+}
+
+// resend hands the jobs a lost connection carried without an answer back
+// to their shard loops, which resend them at once within the retry budget.
+func (s *StreamNOC) resend(jobs []*streamJob, err error) {
+	for _, job := range jobs {
+		job.lost = err
+		select {
+		case <-s.closed:
+			s.fail(job, fmt.Errorf("%w: %s: stream NOC closed", ErrMonitorUnreachable, job.sess.name))
+			continue
+		default:
+		}
+		s.enqueue(job)
+	}
+}
+
+// enqueue puts a job on its shard's send queue without blocking; a full
+// queue fails the job with ErrBackpressure.
+func (s *StreamNOC) enqueue(job *streamJob) {
+	sh := s.shards[job.sess.shard]
+	select {
+	case sh.queue <- job:
+		sh.depthGauge.Set(float64(len(sh.queue)))
+	default:
+		s.m.backpressureDrops.Inc()
+		s.fail(job, fmt.Errorf("%w: %w: shard %d queue full (monitor %s)", ErrMonitorUnreachable, ErrBackpressure, sh.id, job.sess.name))
 	}
 }
 
@@ -466,9 +610,12 @@ func (s *StreamNOC) handleResultBatch(rb *ResultBatch) {
 	for i, r := range rb.Results {
 		ms[i] = Measurement{PathID: r.PathID, OK: r.OK, Value: r.Value}
 	}
-	st := s.asm.ingest(rb.Epoch, ms)
+	st := s.asm.ingest(rb.Epoch, rb.Monitor, ms)
 	if st.duplicates > 0 {
 		s.m.duplicateResults.Add(uint64(st.duplicates))
+	}
+	if st.foreign > 0 {
+		s.m.foreignResults.Add(uint64(st.foreign))
 	}
 	if st.late > 0 {
 		s.m.lateResults.Add(uint64(st.late))
@@ -479,19 +626,21 @@ func (s *StreamNOC) handleResultBatch(rb *ResultBatch) {
 	if st.lag > 0 {
 		s.m.watermarkLag.Observe(st.lag.Seconds())
 	}
-	// A frame back from the monitor is proof of life for its session.
-	if ss, ok := s.sessions[rb.Monitor]; ok && st.accepted > 0 {
-		ss.brk.success()
-		ss.setBreakerGauge()
-	}
 }
 
 // CollectAssembled probes the selected paths for one epoch through the
-// sharded streaming plane and returns the watermark-assembled epoch:
-// measurements that arrived in time, the paths that missed the watermark,
-// and any older-epoch results that folded forward. The error mirrors
-// CollectEpoch's contract — a *CollectionError listing per-monitor
-// outcomes when the epoch degraded, nil when every path reported.
+// sharded plane and returns the watermark-assembled epoch: measurements
+// that arrived in time, the paths that missed the watermark, and any
+// older-epoch results that folded forward.
+//
+// Failed monitors degrade the epoch instead of aborting it: the error is a
+// *CollectionError listing each failed monitor's outcome (attempts, last
+// error, breaker state), and errors.Is works through it — expect
+// ErrMonitorUnreachable or ErrCircuitOpen. With FailFast set, a degraded
+// epoch carries no in-time measurements (Late still drains). Wiring bugs —
+// a path index out of range (ErrPathOutOfRange) or a path whose source has
+// no registered monitor (ErrUnknownMonitor) — fail the epoch outright
+// regardless of mode.
 func (s *StreamNOC) CollectAssembled(ctx context.Context, epoch int, selected []int) (AssembledEpoch, error) {
 	if err := ctx.Err(); err != nil {
 		return AssembledEpoch{}, err
@@ -522,7 +671,7 @@ func (s *StreamNOC) CollectAssembled(ctx context.Context, epoch int, selected []
 		byMonitor[name] = append(byMonitor[name], p)
 	}
 
-	done, err := s.asm.openEpoch(epoch, selected)
+	done, err := s.asm.openEpoch(epoch, byMonitor)
 	if err != nil {
 		sp.EndDetail("epoch already open")
 		return AssembledEpoch{}, err
@@ -530,7 +679,6 @@ func (s *StreamNOC) CollectAssembled(ctx context.Context, epoch int, selected []
 	cs := &collectState{outcomes: make(map[string]*MonitorOutcome)}
 
 	for _, name := range order {
-		name := name
 		paths := byMonitor[name]
 		ss := s.sessions[name]
 		batch := ProbeBatch{
@@ -542,23 +690,7 @@ func (s *StreamNOC) CollectAssembled(ctx context.Context, epoch int, selected []
 		for i, p := range paths {
 			batch.Paths[i] = BatchPath{PathID: p, Links: s.pm.EdgesOf(p)}
 		}
-		job := streamJob{
-			sess:  ss,
-			batch: batch,
-			fail: func(attempts int, err error) {
-				if cs.fail(name, paths, attempts, err) {
-					s.asm.abandon(epoch, paths)
-				}
-			},
-		}
-		sh := s.shards[ss.shard]
-		select {
-		case sh.queue <- job:
-			sh.depthGauge.Set(float64(len(sh.queue)))
-		default:
-			s.m.backpressureDrops.Inc()
-			job.fail(0, fmt.Errorf("%w: %w: shard %d queue full (monitor %s)", ErrMonitorUnreachable, ErrBackpressure, ss.shard, name))
-		}
+		s.enqueue(&streamJob{sess: ss, batch: batch, paths: paths, cs: cs})
 	}
 
 	timer := time.NewTimer(s.cfg.Watermark)
@@ -581,7 +713,8 @@ func (s *StreamNOC) CollectAssembled(ctx context.Context, epoch int, selected []
 
 	// Paths still missing at the seal, from monitors without a send-side
 	// outcome, missed the watermark: the probe went out and no answer came
-	// back in time. That counts as a breaker failure for the session.
+	// back in time. That counts as a breaker failure for the session, and
+	// the transport stops holding the batch for a resend.
 	if len(out.Missing) > 0 {
 		missingBy := map[string][]int{}
 		for _, p := range out.Missing {
@@ -589,11 +722,12 @@ func (s *StreamNOC) CollectAssembled(ctx context.Context, epoch int, selected []
 			missingBy[name] = append(missingBy[name], p)
 		}
 		for name, paths := range missingBy {
+			ss := s.sessions[name]
+			ss.tr.settle(epoch, name)
 			if _, already := cs.outcomes[name]; already {
 				continue
 			}
 			s.m.watermarkMissed.Inc()
-			ss := s.sessions[name]
 			ss.brk.failure()
 			ss.setBreakerGauge()
 			outcomes = append(outcomes, MonitorOutcome{
@@ -606,9 +740,21 @@ func (s *StreamNOC) CollectAssembled(ctx context.Context, epoch int, selected []
 			})
 		}
 	}
+	failed := make(map[string]bool, len(outcomes))
 	for i := range outcomes {
+		failed[outcomes[i].Monitor] = true
 		if ss, ok := s.sessions[outcomes[i].Monitor]; ok {
 			outcomes[i].Breaker = ss.brk.State()
+		}
+	}
+	// Every other probed monitor delivered all its paths in time. Its
+	// breaker success is recorded here, after the seal, so BreakerStates is
+	// settled by the time the epoch returns.
+	for _, name := range order {
+		if !failed[name] {
+			ss := s.sessions[name]
+			ss.brk.success()
+			ss.setBreakerGauge()
 		}
 	}
 
@@ -620,25 +766,21 @@ func (s *StreamNOC) CollectAssembled(ctx context.Context, epoch int, selected []
 			s.m.lostPaths.Add(uint64(len(o.Paths)))
 		}
 		sp.EndDetail(fmt.Sprintf("epoch=%d degraded monitors=%d late=%d", epoch, len(outcomes), len(out.Late)))
+		if s.cfg.FailFast {
+			out.Measurements = nil
+		}
 		return out, cerr
 	}
 	sp.EndDetail(fmt.Sprintf("epoch=%d ok late=%d", epoch, len(out.Late)))
 	return out, nil
 }
 
-// CollectEpoch adapts CollectAssembled to the legacy Collector contract:
-// sorted measurements for the epoch, degraded epochs reported via
-// *CollectionError, FailFast discarding the epoch outright. Late folded
-// results are only available through CollectAssembled.
+// CollectEpoch is CollectAssembled reduced to the epoch's in-time
+// measurements, sorted by path ID; late folded results are only available
+// through CollectAssembled.
 func (s *StreamNOC) CollectEpoch(ctx context.Context, epoch int, selected []int) ([]Measurement, error) {
 	out, err := s.CollectAssembled(ctx, epoch, selected)
-	if err != nil {
-		if _, ok := err.(*CollectionError); ok && !s.cfg.FailFast {
-			return out.Measurements, err
-		}
-		return nil, err
-	}
-	return out.Measurements, nil
+	return out.Measurements, err
 }
 
 // BreakerStates reports each session's circuit-breaker state.
@@ -660,8 +802,7 @@ func (s *StreamNOC) setClock(now func() time.Time) {
 
 // Close shuts the shard loops down, fails any queued sends, tears down
 // every transport connection and waits for the reader goroutines. A closed
-// StreamNOC stays closed (unlike NOC.Close, which doubles as
-// drop-all-connections).
+// StreamNOC stays closed.
 func (s *StreamNOC) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.closed)
@@ -674,10 +815,4 @@ func (s *StreamNOC) Close() error {
 		}
 	})
 	return nil
-}
-
-// newFrameReader sizes the transport read buffer for batched frames: big
-// enough that a typical result batch needs one read syscall.
-func newFrameReader(conn net.Conn) *bufio.Reader {
-	return bufio.NewReaderSize(conn, 64<<10)
 }

@@ -3,17 +3,13 @@ package agent
 import (
 	"context"
 	"testing"
-	"time"
 )
 
-// The collection-plane benchmarks time one full epoch over real loopback
-// TCP on the same panel (4 monitors x 128 paths): BenchmarkCollectFrames
-// drives the batched streaming plane (binary frames, sharded sessions),
-// BenchmarkCollectFramesSerial the legacy per-line JSON NOC. Both report
-// the "frames" metric in the baseline's unit — one per-line frame carries
-// one path, so the batch plane is credited with the per-line frames its
-// batches replace — making frames/sec directly comparable and the
-// benchregress speedup pair the headline batching win.
+// BenchmarkCollectFrames times one full epoch over real loopback TCP on a
+// 4-monitor x 128-path panel (binary frames, sharded sessions). It reports
+// the "frames" metric in path-frames, one per path collected, the unit of
+// the per-line collector it replaced, so frames/sec stays comparable with
+// the history recorded in BENCH_agent.json.
 
 const (
 	benchMonitors    = 4
@@ -46,39 +42,6 @@ func BenchmarkCollectFrames(b *testing.B) {
 		}
 		if len(out.Measurements) != len(panel.all) {
 			b.Fatalf("epoch %d: %d/%d measurements", i+1, len(out.Measurements), len(panel.all))
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(panel.all)), "frames")
-}
-
-func BenchmarkCollectFramesSerial(b *testing.B) {
-	panel := buildStreamPanel(b, benchMonitors, benchPathsPerMon)
-	addrs := panel.startMonitors(b)
-	n, err := NewNOC(NOCConfig{
-		PM:       panel.pm,
-		Monitors: addrs,
-		SourceOf: panel.sourceOf,
-		Timeouts: Timeouts{Dial: 2 * time.Second, Exchange: 2 * time.Second},
-		Seed:     2014,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer n.Close()
-
-	ctx := context.Background()
-	if _, err := n.CollectEpoch(ctx, 0, panel.all); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ms, err := n.CollectEpoch(ctx, i+1, panel.all)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(ms) != len(panel.all) {
-			b.Fatalf("epoch %d: %d/%d measurements", i+1, len(ms), len(panel.all))
 		}
 	}
 	b.StopTimer()

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"robusttomo/internal/failure"
 	"robusttomo/internal/graph"
 	"robusttomo/internal/obs"
 	"robusttomo/internal/routing"
@@ -101,9 +103,24 @@ func (p *streamPanel) wantMeasurements(epoch int, selected []int) []Measurement 
 }
 
 // TestStreamCollectHealthy runs several epochs through the streaming plane
-// and checks the assembled measurements are exact and complete.
+// and checks the assembled measurements are exact and complete: every
+// value, OK flag and float bit pattern the EpochOracle defines, on a
+// schedule where links fail in some epochs and not in others.
 func TestStreamCollectHealthy(t *testing.T) {
 	panel := buildStreamPanel(t, 4, 8)
+	schedule := make([]failure.Scenario, 4)
+	for e := range schedule {
+		schedule[e] = failure.Scenario{Failed: make([]bool, len(panel.metrics))}
+	}
+	schedule[1].Failed[3] = true
+	for _, l := range []int{0, 9, 17, 31} {
+		schedule[3].Failed[l] = true
+	}
+	oracle, err := NewEpochOracle(panel.metrics, schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panel.oracle = oracle
 	addrs := panel.startMonitors(t)
 	reg := obs.New()
 	cfg := panel.streamConfig(addrs)
@@ -115,10 +132,16 @@ func TestStreamCollectHealthy(t *testing.T) {
 	}
 	defer s.Close()
 
+	failedPaths := 0
 	for epoch := 0; epoch < 5; epoch++ {
 		out, err := s.CollectAssembled(context.Background(), epoch, panel.all)
 		if err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+		for _, m := range out.Measurements {
+			if !m.OK {
+				failedPaths++
+			}
 		}
 		if len(out.Missing) != 0 || len(out.Late) != 0 {
 			t.Fatalf("epoch %d: missing=%v late=%v on a healthy panel", epoch, out.Missing, out.Late)
@@ -127,6 +150,9 @@ func TestStreamCollectHealthy(t *testing.T) {
 			t.Fatalf("epoch %d measurements:\n got %+v\nwant %+v", epoch, out.Measurements, want)
 		}
 	}
+	if failedPaths != 5 {
+		t.Fatalf("%d failed-path measurements, want the schedule's 5", failedPaths)
+	}
 	for name, st := range s.BreakerStates() {
 		if st != BreakerClosed {
 			t.Fatalf("healthy run left breaker %s in %v", name, st)
@@ -134,34 +160,45 @@ func TestStreamCollectHealthy(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesLegacyNOC collects the same panel through the legacy
-// per-line NOC and the streaming plane: identical measurements.
+// TestStreamMatchesLegacyNOC pins CollectEpoch to the contract of the
+// per-line NOC the stream plane replaced, which the facade and the
+// examples still rely on: whatever order paths are selected in,
+// an epoch returns exactly one per-path oracle answer for each selected
+// path, failed links included, sorted by path ID.
 func TestStreamMatchesLegacyNOC(t *testing.T) {
 	panel := buildStreamPanel(t, 3, 5)
-	addrs := panel.startMonitors(t)
-
-	legacy, err := NewNOC(NOCConfig{PM: panel.pm, Monitors: addrs, SourceOf: panel.sourceOf, Seed: 2014})
+	schedule := make([]failure.Scenario, 3)
+	for e := range schedule {
+		schedule[e] = failure.Scenario{Failed: make([]bool, len(panel.metrics))}
+	}
+	schedule[1].Failed[12] = true
+	schedule[2].Failed[0] = true
+	schedule[2].Failed[7] = true
+	oracle, err := NewEpochOracle(panel.metrics, schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-	s, err := NewStreamNOC(panel.streamConfig(addrs))
+	panel.oracle = oracle
+	s, err := NewStreamNOC(panel.streamConfig(panel.startMonitors(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	for epoch := 0; epoch < 3; epoch++ {
-		want, err := legacy.CollectEpoch(context.Background(), epoch, panel.all)
+	selections := [][]int{
+		{14, 3, 9, 0, 12, 5, 7},
+		{12, 11, 10, 4, 2},
+		{7, 0, 13, 8, 1, 6},
+	}
+	for epoch, selected := range selections {
+		got, err := s.CollectEpoch(context.Background(), epoch, selected)
 		if err != nil {
-			t.Fatalf("legacy epoch %d: %v", epoch, err)
+			t.Fatalf("epoch %d: %v", epoch, err)
 		}
-		got, err := s.CollectEpoch(context.Background(), epoch, panel.all)
-		if err != nil {
-			t.Fatalf("stream epoch %d: %v", epoch, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("epoch %d: stream and legacy diverge:\n got %+v\nwant %+v", epoch, got, want)
+		sorted := append([]int(nil), selected...)
+		sort.Ints(sorted)
+		if want := panel.wantMeasurements(epoch, sorted); !reflect.DeepEqual(got, want) {
+			t.Fatalf("epoch %d: stream diverges from the per-path answers:\n got %+v\nwant %+v", epoch, got, want)
 		}
 	}
 }
@@ -271,7 +308,7 @@ func TestStreamDeadMonitorDegrades(t *testing.T) {
 	addrs["m1"] = deadAddr
 
 	cfg := panel.streamConfig(addrs)
-	cfg.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}
+	cfg.Retry = RetryPolicy{MaxAttempts: 2}
 	cfg.Breaker = BreakerPolicy{FailureThreshold: 2, Cooldown: time.Hour}
 	cfg.Timeouts = Timeouts{Dial: 200 * time.Millisecond, Exchange: time.Second}
 	cfg.Watermark = 2 * time.Second
@@ -404,7 +441,7 @@ func TestStreamBackpressure(t *testing.T) {
 	cfg.Shards = 1
 	cfg.QueueDepth = 1
 	cfg.Dial = blockingDial
-	cfg.Retry = RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond}
+	cfg.Retry = RetryPolicy{MaxAttempts: 1}
 	cfg.Timeouts = Timeouts{Dial: 10 * time.Second, Exchange: time.Second}
 	cfg.Watermark = 400 * time.Millisecond
 	s, err := NewStreamNOC(cfg)
@@ -534,7 +571,7 @@ func proxyCopy(dst, src net.Conn, delay time.Duration) {
 }
 
 // TestStreamWiringBugs: out-of-range paths and unknown monitors fail the
-// epoch outright with the legacy sentinels.
+// epoch outright with the wiring-bug sentinels.
 func TestStreamWiringBugs(t *testing.T) {
 	panel := buildStreamPanel(t, 2, 2)
 	addrs := panel.startMonitors(t)

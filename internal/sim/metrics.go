@@ -21,7 +21,7 @@ type simMetrics struct {
 	// learner update).
 	epochSeconds *obs.Histogram
 	// lateFolded counts late measurements from earlier epochs folded into
-	// the aggregator by a streaming (AssembledCollector) collection plane.
+	// the aggregator.
 	lateFolded *obs.Counter
 	// rank / survived / identifiable snapshot the most recent epoch's
 	// surviving-path rank, surviving-path count and identifiable-link

@@ -6,9 +6,9 @@
 // picks the next epoch's probing set.
 //
 // The collector is pluggable: the built-in in-process collector consults
-// the epoch oracle directly, while agent.NOC (TCP monitors) satisfies the
-// same interface, so integration tests and the examples drive the very
-// same loop over real sockets.
+// the epoch oracle directly, while agent.StreamNOC (TCP monitors)
+// satisfies the same interface, so integration tests and the examples
+// drive the very same loop over real sockets.
 package sim
 
 import (
@@ -28,28 +28,20 @@ import (
 	"robusttomo/internal/tomo"
 )
 
-// Collector gathers one epoch of measurements for the selected paths.
-// agent.NOC implements it.
+// Collector gathers one epoch of measurements for the selected paths:
+// the in-process oracle collector, or agent.StreamNOC over TCP monitors.
+// The watermark-assembled epoch carries, besides the in-time
+// measurements, the late results of earlier epochs that folded forward.
+// The Runner folds those into the aggregator — they are real measurements
+// of their origin epoch's network, so they sharpen the metric estimates —
+// while the diagnoser and the learner see only the current epoch's
+// in-time outcomes (a late result says nothing about which links are down
+// now).
 type Collector interface {
-	CollectEpoch(ctx context.Context, epoch int, selected []int) ([]agent.Measurement, error)
-}
-
-var _ Collector = (*agent.NOC)(nil)
-
-// AssembledCollector is the streaming-plane extension of Collector:
-// watermark-assembled epochs carry, besides the in-time measurements, the
-// late results of earlier epochs that folded forward. agent.StreamNOC
-// implements it; a Runner given one (via UseCollector) folds the late
-// measurements into the aggregator — they are real measurements of their
-// origin epoch's network, so they sharpen the metric estimates — while the
-// diagnoser and the learner see only the current epoch's in-time outcomes
-// (a late result says nothing about which links are down now).
-type AssembledCollector interface {
-	Collector
 	CollectAssembled(ctx context.Context, epoch int, selected []int) (agent.AssembledEpoch, error)
 }
 
-var _ AssembledCollector = (*agent.StreamNOC)(nil)
+var _ Collector = (*agent.StreamNOC)(nil)
 
 // Mode selects how probing paths are chosen each epoch.
 type Mode int
@@ -223,8 +215,8 @@ func New(cfg Config) (*Runner, error) {
 // the same network state.
 func (r *Runner) Oracle() *agent.EpochOracle { return r.oracle }
 
-// UseCollector replaces the in-process collector (e.g. with an agent.NOC
-// fronting TCP monitors).
+// UseCollector replaces the in-process collector (e.g. with an
+// agent.StreamNOC fronting TCP monitors).
 func (r *Runner) UseCollector(c Collector) error {
 	if c == nil {
 		return fmt.Errorf("sim: nil collector")
@@ -239,18 +231,18 @@ type localCollector struct {
 	pm     *tomo.PathMatrix
 }
 
-func (lc *localCollector) CollectEpoch(_ context.Context, epoch int, selected []int) ([]agent.Measurement, error) {
-	out := make([]agent.Measurement, 0, len(selected))
+func (lc *localCollector) CollectAssembled(_ context.Context, epoch int, selected []int) (agent.AssembledEpoch, error) {
+	out := agent.AssembledEpoch{Epoch: epoch, Measurements: make([]agent.Measurement, 0, len(selected))}
 	for _, p := range selected {
 		if p < 0 || p >= lc.pm.NumPaths() {
-			return nil, fmt.Errorf("sim: path %d out of range", p)
+			return agent.AssembledEpoch{}, fmt.Errorf("sim: path %d out of range", p)
 		}
 		v, ok := lc.oracle.Measure(epoch, lc.pm.EdgesOf(p))
 		m := agent.Measurement{PathID: p, OK: ok}
 		if ok {
 			m.Value = v
 		}
-		out = append(out, m)
+		out.Measurements = append(out.Measurements, m)
 	}
 	return out, nil
 }
@@ -275,15 +267,8 @@ func (r *Runner) Step(ctx context.Context) (EpochReport, error) {
 		selected = r.static
 	}
 
-	var ms []agent.Measurement
-	var late []agent.LateMeasurement
-	if ac, ok := r.collector.(AssembledCollector); ok {
-		var out agent.AssembledEpoch
-		out, err = ac.CollectAssembled(ctx, r.epoch, selected)
-		ms, late = out.Measurements, out.Late
-	} else {
-		ms, err = r.collector.CollectEpoch(ctx, r.epoch, selected)
-	}
+	out, err := r.collector.CollectAssembled(ctx, r.epoch, selected)
+	ms, late := out.Measurements, out.Late
 	var cerr *agent.CollectionError
 	if err != nil && !errors.As(err, &cerr) {
 		// A partially collected epoch degrades instead of aborting: the

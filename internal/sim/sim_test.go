@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
+	"net"
 	"testing"
 	"time"
 
@@ -223,38 +225,86 @@ func TestHorizonExhaustion(t *testing.T) {
 	}
 }
 
-func TestUseCollectorTCP(t *testing.T) {
-	// Full integration: the same loop over real TCP monitors.
+func exampleConfigFixedHorizon(t *testing.T, horizon int) Config {
 	cfg := exampleConfig(t, Static)
-	cfg.Horizon = 5
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Horizon = horizon
+	return cfg
+}
+
+// exampleSrcOf maps a path of the example network to its source monitor.
+func exampleSrcOf(pm *tomo.PathMatrix) func(int) string {
+	ex := topo.NewExample()
+	return func(p int) string { return ex.Graph.Label(pm.Path(p).Src) }
+}
+
+// exampleMonitors starts one TCP monitor per example-network monitor node,
+// answering from r's oracle, and returns the NOC address map. The monitor
+// named dead is closed at once (its address stays in the map, so dials
+// are refused); wrap, when non-nil, wraps every listener.
+func exampleMonitors(t *testing.T, r *Runner, dead string, wrap func(net.Listener) net.Listener) map[string]string {
+	t.Helper()
 	ex := topo.NewExample()
 	addrs := map[string]string{}
 	for _, mn := range ex.Monitors {
 		name := ex.Graph.Label(mn)
-		mon, err := agent.StartMonitor(name, "127.0.0.1:0", r.Oracle())
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { mon.Close() })
+		if wrap != nil {
+			ln = wrap(ln)
+		}
+		mon, err := agent.StartMonitorOn(name, ln, r.Oracle())
+		if err != nil {
+			t.Fatal(err)
+		}
 		addrs[name] = mon.Addr()
+		if name == dead {
+			mon.Close()
+		} else {
+			t.Cleanup(func() { mon.Close() })
+		}
 	}
-	noc, err := agent.NewNOC(agent.NOCConfig{
-		PM:       cfg.PM,
-		Monitors: addrs,
-		SourceOf: func(p int) string { return ex.Graph.Label(cfg.PM.Path(p).Src) },
-	})
+	return addrs
+}
+
+// newStreamNOC builds a StreamNOC closed on cleanup.
+func newStreamNOC(t *testing.T, cfg agent.StreamConfig) *agent.StreamNOC {
+	t.Helper()
+	snoc, err := agent.NewStreamNOC(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.UseCollector(noc); err != nil {
+	t.Cleanup(func() { snoc.Close() })
+	return snoc
+}
+
+// useStreamNOC wires a StreamNOC over addrs into r, closed on cleanup.
+func useStreamNOC(t *testing.T, r *Runner, cfg agent.StreamConfig) {
+	t.Helper()
+	if err := r.UseCollector(newStreamNOC(t, cfg)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUseCollectorTCP runs the loop over real TCP monitors: UseCollector
+// rejects nil, and epoch-for-epoch results match the local collector.
+func TestUseCollectorTCP(t *testing.T) {
+	cfg := exampleConfigFixedHorizon(t, 5)
+	r, err := New(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.UseCollector(nil); err == nil {
 		t.Fatal("nil collector accepted")
+	}
+	noc := newStreamNOC(t, agent.StreamConfig{
+		PM:       cfg.PM,
+		Monitors: exampleMonitors(t, r, "", nil),
+		SourceOf: exampleSrcOf(cfg.PM),
+	})
+	if err := r.UseCollector(noc); err != nil {
+		t.Fatal(err)
 	}
 
 	reports, err := r.Run(context.Background(), 5)
@@ -264,8 +314,6 @@ func TestUseCollectorTCP(t *testing.T) {
 	if len(reports) != 5 {
 		t.Fatalf("reports = %d", len(reports))
 	}
-	// TCP path produces identical data to the local collector: re-run a
-	// local runner on the same seed and compare ranks per epoch.
 	local, err := New(exampleConfigFixedHorizon(t, 5))
 	if err != nil {
 		t.Fatal(err)
@@ -281,52 +329,29 @@ func TestUseCollectorTCP(t *testing.T) {
 	}
 }
 
-func exampleConfigFixedHorizon(t *testing.T, horizon int) Config {
-	cfg := exampleConfig(t, Static)
-	cfg.Horizon = horizon
-	return cfg
-}
-
-// TestRunnerSurvivesDeadMonitor is the degradation acceptance test: with
-// one TCP monitor down for the whole run, Runner.Run still completes all
-// epochs, the dead monitor's paths read as failed paths, and per-epoch
-// collection health lands in EpochReport.Collection.
+// TestRunnerSurvivesDeadMonitor is the degradation acceptance test with
+// the default watermark: with one TCP monitor down for the whole run,
+// Runner.Run still completes all epochs, the dead monitor's paths read as
+// failed paths, and per-epoch collection health lands in
+// EpochReport.Collection.
 func TestRunnerSurvivesDeadMonitor(t *testing.T) {
-	cfg := exampleConfig(t, Static)
-	cfg.Horizon = 4
+	cfg := exampleConfigFixedHorizon(t, 4)
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := topo.NewExample()
-	srcOf := func(p int) string { return ex.Graph.Label(cfg.PM.Path(p).Src) }
+	srcOf := exampleSrcOf(cfg.PM)
 	// Kill the monitor sourcing the first selected path so every epoch is
 	// guaranteed to lose at least one path.
 	dead := srcOf(r.StaticSelection()[0])
-	addrs := map[string]string{}
-	for _, mn := range ex.Monitors {
-		name := ex.Graph.Label(mn)
-		mon, err := agent.StartMonitor(name, "127.0.0.1:0", r.Oracle())
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[name] = mon.Addr()
-		if name == dead {
-			mon.Close() // address stays in the map; dials get refused
-		} else {
-			t.Cleanup(func() { mon.Close() })
-		}
-	}
-	noc, err := agent.NewNOC(agent.NOCConfig{
+	noc := newStreamNOC(t, agent.StreamConfig{
 		PM:       cfg.PM,
-		Monitors: addrs,
+		Monitors: exampleMonitors(t, r, dead, nil),
 		SourceOf: srcOf,
-		Retry:    agent.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Multiplier: 2, Jitter: -1},
+		Retry:    agent.RetryPolicy{MaxAttempts: 2},
 		Breaker:  agent.BreakerPolicy{Disabled: true},
+		Timeouts: agent.Timeouts{Dial: 300 * time.Millisecond, Exchange: time.Second},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := r.UseCollector(noc); err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +378,7 @@ func TestRunnerSurvivesDeadMonitor(t *testing.T) {
 			t.Fatalf("epoch %d: survived %d + lost %d > probed %d", i, rep.Survived, h.LostPaths, rep.Probed)
 		}
 	}
-	// The surviving monitors' data must still be exact: compare against a
-	// local run restricted to links the degraded run identified.
+	// The surviving monitors' data must still be exact.
 	values, ident, err := r.Estimates(1, 1e-6)
 	if err != nil {
 		t.Fatal(err)
@@ -366,10 +390,10 @@ func TestRunnerSurvivesDeadMonitor(t *testing.T) {
 	}
 }
 
-// TestRunnerStreamingCollector drives the same closed loop through the
-// streaming plane (agent.StreamNOC, batched binary frames, watermark
-// assembly): epoch-for-epoch results must match the local collector, and a
-// healthy panel folds nothing late.
+// TestRunnerStreamingCollector drives the same closed loop over real TCP
+// monitors through agent.StreamNOC (batched binary frames, watermark
+// assembly): epoch-for-epoch results must match the local collector, and
+// a healthy panel folds nothing late.
 func TestRunnerStreamingCollector(t *testing.T) {
 	cfg := exampleConfig(t, Static)
 	cfg.Horizon = 5
@@ -377,30 +401,12 @@ func TestRunnerStreamingCollector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := topo.NewExample()
-	addrs := map[string]string{}
-	for _, mn := range ex.Monitors {
-		name := ex.Graph.Label(mn)
-		mon, err := agent.StartMonitor(name, "127.0.0.1:0", r.Oracle())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { mon.Close() })
-		addrs[name] = mon.Addr()
-	}
-	snoc, err := agent.NewStreamNOC(agent.StreamConfig{
+	useStreamNOC(t, r, agent.StreamConfig{
 		PM:       cfg.PM,
-		Monitors: addrs,
-		SourceOf: func(p int) string { return ex.Graph.Label(cfg.PM.Path(p).Src) },
+		Monitors: exampleMonitors(t, r, "", nil),
+		SourceOf: exampleSrcOf(cfg.PM),
 		Shards:   2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { snoc.Close() })
-	if err := r.UseCollector(snoc); err != nil {
-		t.Fatal(err)
-	}
 
 	reports, err := r.Run(context.Background(), 5)
 	if err != nil {
@@ -433,10 +439,10 @@ func TestRunnerStreamingCollector(t *testing.T) {
 	}
 }
 
-// TestRunnerStreamingSurvivesDeadMonitor is the streaming twin of
-// TestRunnerSurvivesDeadMonitor: with one monitor dead, the watermark
-// seals every epoch without its paths and the loop degrades instead of
-// aborting.
+// TestRunnerStreamingSurvivesDeadMonitor is the degradation acceptance
+// test: with one TCP monitor down for the whole run, Runner.Run still
+// completes all epochs, the dead monitor's paths read as failed paths, and
+// per-epoch collection health lands in EpochReport.Collection.
 func TestRunnerStreamingSurvivesDeadMonitor(t *testing.T) {
 	cfg := exampleConfig(t, Static)
 	cfg.Horizon = 3
@@ -444,39 +450,19 @@ func TestRunnerStreamingSurvivesDeadMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := topo.NewExample()
-	srcOf := func(p int) string { return ex.Graph.Label(cfg.PM.Path(p).Src) }
+	srcOf := exampleSrcOf(cfg.PM)
+	// Kill the monitor sourcing the first selected path so every epoch is
+	// guaranteed to lose at least one path.
 	dead := srcOf(r.StaticSelection()[0])
-	addrs := map[string]string{}
-	for _, mn := range ex.Monitors {
-		name := ex.Graph.Label(mn)
-		mon, err := agent.StartMonitor(name, "127.0.0.1:0", r.Oracle())
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[name] = mon.Addr()
-		if name == dead {
-			mon.Close()
-		} else {
-			t.Cleanup(func() { mon.Close() })
-		}
-	}
-	snoc, err := agent.NewStreamNOC(agent.StreamConfig{
+	useStreamNOC(t, r, agent.StreamConfig{
 		PM:        cfg.PM,
-		Monitors:  addrs,
+		Monitors:  exampleMonitors(t, r, dead, nil),
 		SourceOf:  srcOf,
 		Watermark: 2 * time.Second,
-		Retry:     agent.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+		Retry:     agent.RetryPolicy{MaxAttempts: 2},
 		Breaker:   agent.BreakerPolicy{Disabled: true},
 		Timeouts:  agent.Timeouts{Dial: 300 * time.Millisecond, Exchange: time.Second},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { snoc.Close() })
-	if err := r.UseCollector(snoc); err != nil {
-		t.Fatal(err)
-	}
 
 	reports, err := r.Run(context.Background(), 3)
 	if err != nil {
@@ -490,10 +476,14 @@ func TestRunnerStreamingSurvivesDeadMonitor(t *testing.T) {
 		if len(h.FailedMonitors) != 1 || h.FailedMonitors[0] != dead {
 			t.Fatalf("epoch %d: FailedMonitors = %v, want [%s]", i, h.FailedMonitors, dead)
 		}
-		if h.LostPaths == 0 {
-			t.Fatalf("epoch %d: lost paths not recorded: %+v", i, h)
+		if h.LostPaths == 0 || h.Attempts == 0 {
+			t.Fatalf("epoch %d: lost paths/attempts not recorded: %+v", i, h)
+		}
+		if rep.Survived+h.LostPaths > rep.Probed {
+			t.Fatalf("epoch %d: survived %d + lost %d > probed %d", i, rep.Survived, h.LostPaths, rep.Probed)
 		}
 	}
+	// The surviving monitors' data must still be exact.
 	values, ident, err := r.Estimates(1, 1e-6)
 	if err != nil {
 		t.Fatal(err)
@@ -502,5 +492,143 @@ func TestRunnerStreamingSurvivesDeadMonitor(t *testing.T) {
 		if ident[j] && math.Abs(values[j]-cfg.Metrics[j]) > 1e-8 {
 			t.Fatalf("link %d inferred %v, want %v", j, values[j], cfg.Metrics[j])
 		}
+	}
+}
+
+// TestRunnerStreamingFailFast: Step collects through CollectAssembled, so
+// that is where FailFast must bite. With one monitor dead, every epoch is
+// degraded and discarded whole: nothing survives, every probed path is
+// lost.
+func TestRunnerStreamingFailFast(t *testing.T) {
+	cfg := exampleConfig(t, Static)
+	cfg.Horizon = 3
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcOf := exampleSrcOf(cfg.PM)
+	dead := srcOf(r.StaticSelection()[0])
+	useStreamNOC(t, r, agent.StreamConfig{
+		PM:       cfg.PM,
+		Monitors: exampleMonitors(t, r, dead, nil),
+		SourceOf: srcOf,
+		Retry:    agent.RetryPolicy{MaxAttempts: 1},
+		Timeouts: agent.Timeouts{Dial: 300 * time.Millisecond},
+		FailFast: true,
+	})
+
+	reports, err := r.Run(context.Background(), 3)
+	if err != nil {
+		t.Fatalf("Run aborted: %v", err)
+	}
+	for i, rep := range reports {
+		if !rep.Collection.Degraded {
+			t.Fatalf("epoch %d: not marked degraded: %+v", i, rep.Collection)
+		}
+		if rep.Survived != 0 || rep.Collection.LostPaths != rep.Probed {
+			t.Fatalf("epoch %d: fail-fast kept data: survived %d, lost %d of %d",
+				i, rep.Survived, rep.Collection.LostPaths, rep.Probed)
+		}
+	}
+}
+
+// foreignListener wraps a monitor's listener so every reply frame is
+// preceded by a result for a path the NOC never asked that epoch about: a
+// buggy or hostile monitor.
+type foreignListener struct {
+	net.Listener
+	path int
+}
+
+func (l *foreignListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &foreignConn{Conn: c, path: l.path}, nil
+}
+
+type foreignConn struct {
+	net.Conn
+	path int
+}
+
+// Write sends a result for c.path ahead of the monitor's real reply. The
+// monitor flushes once per reply, so p is one whole binary result frame:
+// a 6-byte header, the epoch, then the length-prefixed monitor name.
+func (c *foreignConn) Write(p []byte) (int, error) {
+	epoch := int(int64(binary.BigEndian.Uint64(p[6:14])))
+	n := int(binary.BigEndian.Uint16(p[14:16]))
+	wire, err := agent.EncodeResultBatch(nil, agent.EncodingBinary, &agent.ResultBatch{
+		Type:    agent.MsgBatchResult,
+		Epoch:   epoch,
+		Monitor: string(p[16 : 16+n]),
+		Results: []agent.BatchResult{{PathID: c.path, OK: true, Value: 1}},
+	})
+	if err != nil {
+		return 0, err
+	}
+	if _, err := c.Conn.Write(append(wire, p...)); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// TestRunnerDropsForeignPathIDs: results naming a path outside the epoch's
+// selection never reach Step. An out-of-range ID would index past the
+// availability vector; an unselected in-range ID would count a path nobody
+// probed. Either way the run must match the local collector exactly.
+func TestRunnerDropsForeignPathIDs(t *testing.T) {
+	cfg := exampleConfigFixedHorizon(t, 4)
+	local, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selected := map[int]bool{}
+	for _, p := range local.StaticSelection() {
+		selected[p] = true
+	}
+	unselected := -1
+	for p := 0; p < cfg.PM.NumPaths() && unselected < 0; p++ {
+		if !selected[p] {
+			unselected = p
+		}
+	}
+	if unselected < 0 {
+		t.Fatal("static selection covers every path")
+	}
+	want, err := local.Run(context.Background(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		path int
+	}{
+		{"out of range", cfg.PM.NumPaths() + 5},
+		{"in range, not selected", unselected},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := New(exampleConfigFixedHorizon(t, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrap := func(ln net.Listener) net.Listener { return &foreignListener{Listener: ln, path: tc.path} }
+			useStreamNOC(t, r, agent.StreamConfig{
+				PM:       cfg.PM,
+				Monitors: exampleMonitors(t, r, "", wrap),
+				SourceOf: exampleSrcOf(cfg.PM),
+			})
+			got, err := r.Run(context.Background(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if got[i].Survived != want[i].Survived || got[i].Rank != want[i].Rank || got[i].Collection.Degraded {
+					t.Fatalf("epoch %d: foreign result leaked in: got %+v, want %+v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }

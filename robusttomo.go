@@ -279,12 +279,6 @@ var (
 type (
 	// Monitor is a TCP vantage-point agent answering probe requests.
 	Monitor = agent.Monitor
-	// NOC is the fault-tolerant measurement collector fanning probes out
-	// to monitors over persistent sessions.
-	NOC = agent.NOC
-	// NOCConfig wires a NOC to its monitors and path matrix, with retry,
-	// breaker and timeout blocks.
-	NOCConfig = agent.NOCConfig
 	// Measurement is one collected end-to-end measurement.
 	Measurement = agent.Measurement
 	// LinkOracle answers simulated network state per epoch.
@@ -296,7 +290,8 @@ type (
 	RetryPolicy = agent.RetryPolicy
 	// BreakerPolicy configures the per-monitor circuit breaker.
 	BreakerPolicy = agent.BreakerPolicy
-	// CollectorTimeouts groups the NOC's dial/exchange deadlines.
+	// CollectorTimeouts groups the NOC's dial and per-frame write
+	// deadlines.
 	CollectorTimeouts = agent.Timeouts
 	// BreakerState is one monitor's circuit-breaker state.
 	BreakerState = agent.BreakerState
@@ -315,10 +310,6 @@ type (
 	FaultyListener = agent.FaultyListener
 	// ConnFault scripts one faulty accepted connection.
 	ConnFault = agent.ConnFault
-	// ConfigError reports an invalid NOCConfig combination (e.g. the
-	// deprecated DialTimeout conflicting with Timeouts.Dial); match with
-	// errors.As.
-	ConfigError = agent.ConfigError
 )
 
 // Circuit-breaker states.
@@ -350,11 +341,6 @@ var (
 	// StartMonitorOn launches a monitor over an existing listener (the
 	// fault-injection hook).
 	StartMonitorOn = agent.StartMonitorOn
-	// NewNOC builds the measurement collector.
-	NewNOC = agent.NewNOC
-	// DefaultNOCConfig returns a NOCConfig with the retry, breaker and
-	// timeout blocks at their defaults.
-	DefaultNOCConfig = agent.DefaultNOCConfig
 	// DefaultRetryPolicy returns the collection retry defaults.
 	DefaultRetryPolicy = agent.DefaultRetryPolicy
 	// DefaultBreakerPolicy returns the circuit-breaker defaults.
@@ -369,17 +355,17 @@ var (
 	NewFaultyListener = agent.NewFaultyListener
 )
 
-// Streaming collection plane: batched multi-path probe frames over
-// persistent sharded sessions, with watermark-based epoch assembly.
+// The NOC: batched multi-path probe frames over persistent sharded
+// sessions, with watermark-based epoch assembly.
 type (
-	// StreamNOC is the batched streaming measurement collector: monitor
+	// StreamNOC is the fault-tolerant measurement collector: monitor
 	// sessions sharded over persistent connections, multi-path probe
 	// frames, and epochs sealed at a watermark with late results folded
 	// into the next epoch.
 	StreamNOC = agent.StreamNOC
-	// StreamConfig wires a StreamNOC: sharding, batching, watermark,
-	// backpressure and frame-encoding knobs on top of the NOC's retry,
-	// breaker and timeout blocks.
+	// StreamConfig wires a StreamNOC to its monitors and path matrix:
+	// sharding, batching, watermark, backpressure and frame-encoding knobs
+	// plus the retry, breaker and timeout blocks.
 	StreamConfig = agent.StreamConfig
 	// AssembledEpoch is one sealed epoch: its measurements, the paths
 	// still missing at the watermark, and late results from earlier
@@ -409,14 +395,14 @@ const (
 	FrameJSON = agent.EncodingJSON
 )
 
-// Streaming collection sentinels and construction.
+// NOC sentinels and construction.
 var (
 	// ErrWatermark marks paths that missed the epoch watermark; their
 	// results, if they arrive, fold into a later epoch as LateMeasurements.
 	ErrWatermark = agent.ErrWatermark
 	// ErrBackpressure marks batches shed because a shard queue was full.
 	ErrBackpressure = agent.ErrBackpressure
-	// NewStreamNOC builds the streaming collector.
+	// NewStreamNOC builds the measurement collector.
 	NewStreamNOC = agent.NewStreamNOC
 	// ParseFrameEncoding parses "binary" or "json".
 	ParseFrameEncoding = agent.ParseEncoding
@@ -427,7 +413,7 @@ var (
 )
 
 // Observability: the dependency-free metrics/tracing registry. Install an
-// Observer on NOCConfig, SimConfig, SelectionOptions or LearnerOptions and
+// Observer on StreamConfig, SimConfig, SelectionOptions or LearnerOptions and
 // every layer reports into it; a nil Observer costs one nil check per
 // instrumented operation.
 type (
@@ -659,12 +645,10 @@ type (
 	EpochReport = sim.EpochReport
 	// SimMode selects static (known distribution) or learning mode.
 	SimMode = sim.Mode
-	// SimCollector is the measurement-plane interface the runner drives.
+	// SimCollector is the measurement-plane interface the runner drives:
+	// collectors return AssembledEpochs (late results, watermark misses)
+	// for the runner to fold forward.
 	SimCollector = sim.Collector
-	// SimAssembledCollector is the streaming-plane extension: collectors
-	// that return AssembledEpochs (late results, watermark misses) for the
-	// runner to fold forward.
-	SimAssembledCollector = sim.AssembledCollector
 )
 
 // Closed-loop modes.

@@ -360,8 +360,8 @@ func TestFacadeCtxSelection(t *testing.T) {
 }
 
 // TestFacadeFaultToleranceSurface smoke-tests the re-exported collection
-// API: a NOC built from DefaultNOCConfig over a fault-injected monitor
-// degrades with the re-exported sentinels and typed error.
+// API: a NOC over a dead monitor degrades with the re-exported sentinels
+// and typed error.
 func TestFacadeFaultToleranceSurface(t *testing.T) {
 	paths := []Path{{Src: 0, Dst: 1, Edges: []EdgeID{0}}}
 	pm, err := NewPathMatrix(paths, 1)
@@ -379,16 +379,21 @@ func TestFacadeFaultToleranceSurface(t *testing.T) {
 	addr := mon.Addr()
 	mon.Close() // dead monitor: every dial refused
 
-	cfg := DefaultNOCConfig()
-	cfg.PM = pm
-	cfg.Monitors = map[string]string{"m": addr}
-	cfg.SourceOf = func(int) string { return "m" }
-	cfg.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Multiplier: 2, Jitter: -1}
-	cfg.Timeouts = CollectorTimeouts{Dial: 200 * time.Millisecond, Exchange: time.Second}
-	noc, err := NewNOC(cfg)
+	if got := DefaultRetryPolicy().MaxAttempts; got != 3 {
+		t.Fatalf("DefaultRetryPolicy().MaxAttempts = %d", got)
+	}
+	noc, err := NewStreamNOC(StreamConfig{
+		PM:       pm,
+		Monitors: map[string]string{"m": addr},
+		SourceOf: func(int) string { return "m" },
+		Retry:    RetryPolicy{MaxAttempts: 2},
+		Breaker:  DefaultBreakerPolicy(),
+		Timeouts: CollectorTimeouts{Dial: 200 * time.Millisecond, Exchange: time.Second},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer noc.Close()
 	ms, err := noc.CollectEpoch(context.Background(), 0, []int{0})
 	if len(ms) != 0 {
 		t.Fatalf("measurements from a dead monitor: %v", ms)
@@ -464,8 +469,7 @@ func TestFacadeStreamingSurface(t *testing.T) {
 
 // TestFacadeObservability wires an Observer through the public surface:
 // selection metrics land in the registry, the Prometheus text is
-// well-formed, spans record into the event ring, and the DialTimeout
-// conflict surfaces as a *ConfigError.
+// well-formed, and spans record into the event ring.
 func TestFacadeObservability(t *testing.T) {
 	ex := NewExampleNetwork()
 	paths, err := MonitorPairs(ex.Graph, ex.Monitors, ex.Monitors)
@@ -524,21 +528,6 @@ func TestFacadeObservability(t *testing.T) {
 	events := reg.Events()
 	if len(events) == 0 || events[len(events)-1].Name != "facade.work" {
 		t.Fatalf("span did not land in the event ring: %+v", events)
-	}
-
-	cfg := DefaultNOCConfig()
-	cfg.PM = pm
-	cfg.Monitors = map[string]string{"m": "127.0.0.1:1"}
-	cfg.SourceOf = func(int) string { return "m" }
-	cfg.DialTimeout = time.Second
-	cfg.Timeouts.Dial = 2 * time.Second
-	if _, err := NewNOC(cfg); err == nil {
-		t.Fatal("conflicting dial timeouts accepted")
-	} else {
-		var ce *ConfigError
-		if !errors.As(err, &ce) {
-			t.Fatalf("err %v (%T) is not a *ConfigError", err, err)
-		}
 	}
 }
 

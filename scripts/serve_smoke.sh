@@ -63,7 +63,11 @@ curl -fsS "$BASE/readyz"
 
 echo "== health and metrics"
 curl -fsS "$BASE/healthz"
-curl -fsS "$BASE/metrics" | grep -q '^tomo_service_queue_depth' \
+# Read the whole body before matching: grep -q exits at the first match,
+# and under pipefail a curl still writing into the closed pipe fails the
+# check.
+METRICS=$(curl -fsS "$BASE/metrics")
+grep -q '^tomo_service_queue_depth' <<<"$METRICS" \
   || { echo "metrics missing service families"; exit 1; }
 
 echo "== submit a selection job"
