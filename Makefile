@@ -84,34 +84,54 @@ bench-gate:
 	$(GO) run ./cmd/benchregress -suite cluster -compare -max-regress $(MAX_REGRESS)
 	$(GO) run ./cmd/benchregress -suite failure -compare -max-regress $(MAX_REGRESS)
 
+# go test -run and -fuzz exit 0 when a pattern matches nothing, so a gate
+# that names a deleted or renamed test would pass without running it.
+# check-names PKG,NAMES fails unless PKG defines every test or fuzz target
+# in the |-separated NAMES; gate-run runs exactly those tests, gate-fuzz
+# fuzzes one target for FUZZTIME, both after the check.
+check-names = @listed="$$($(GO) test -list . $(1))" || exit 1; \
+	for n in $$(echo '$(2)' | tr '|' ' '); do \
+		printf '%s\n' "$$listed" | grep -qx "$$n" || { echo "$(1): no test or fuzz target named $$n"; exit 1; }; \
+	done
+
+define gate-run
+	$(call check-names,$(1),$(2))
+	$(GO) test -run '^($(2))$$' -count=1 -v $(1)
+endef
+
+define gate-fuzz
+	$(call check-names,$(1),$(2))
+	$(GO) test -fuzz='^$(2)$$' -fuzztime=$(FUZZTIME) $(1)
+endef
+
 # CI allocation gate: the steady-state zero-allocation contracts asserted
 # with testing.AllocsPerRun — the Monte Carlo incremental oracle (Gain,
-# GainBatch, splitless Add on both kernels), the GF(2) basis slab reuse and
-# the sparse-basis scratch pre-sizing. Gated, not just documented.
+# GainBatch, splitless Add) and the sparse-basis scratch pre-sizing and
+# alloc-free probes. Gated, not just documented.
 alloc-gate:
-	$(GO) test -run 'TestMonteCarloIncSteadyStateZeroAlloc' -count=1 -v ./internal/er/
-	$(GO) test -run 'TestGF2BasisSteadyStateAllocs|TestSparseBasisScratchPresized|TestSparseBasisDependentScratchAllocFree' -count=1 -v ./internal/linalg/
-	$(GO) test -run 'TestRankOfWithGF2' -count=1 -v ./internal/tomo/
+	$(call gate-run,./internal/er/,TestMonteCarloIncSteadyStateZeroAlloc)
+	$(call gate-run,./internal/linalg/,TestSparseBasisScratchPresized|TestSparseBasisDependentScratchAllocFree)
 
 fuzz: fuzz-smoke
 
 # Native fuzzing smoke: every target gets FUZZTIME (go test accepts one
 # -fuzz pattern per invocation, hence one line per target). Each target
 # ships a seed corpus via f.Add, so even -fuzztime 0 replays the known
-# tricky frames. Targets: the GF(2)-vs-float64 rank differential, the
-# scenario-source contract invariants, the edge-list and weight parsers,
-# the canonical cache-key encoder, and the agent and cluster wire codecs.
+# tricky frames. Targets: the sparse-basis vs exact big.Rat rank
+# differential, the scenario-source contract invariants, the edge-list and
+# weight parsers, the canonical cache-key encoder, and the agent and
+# cluster wire codecs.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzGF2VsFloat64Rank -fuzztime=$(FUZZTIME) ./internal/linalg/
-	$(GO) test -fuzz=FuzzScenarioSource -fuzztime=$(FUZZTIME) ./internal/failure/
-	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph/
-	$(GO) test -fuzz=FuzzLoadWeights -fuzztime=$(FUZZTIME) ./internal/topo/
-	$(GO) test -fuzz=FuzzCanonicalKey -fuzztime=$(FUZZTIME) ./internal/selection/
-	$(GO) test -fuzz=FuzzWireFrame -fuzztime=$(FUZZTIME) ./internal/agent/
-	$(GO) test -fuzz=FuzzBatchFrame -fuzztime=$(FUZZTIME) ./internal/agent/
-	$(GO) test -fuzz=FuzzBatchRoundTrip -fuzztime=$(FUZZTIME) ./internal/agent/
-	$(GO) test -fuzz=FuzzPeerFrame -fuzztime=$(FUZZTIME) ./internal/cluster/
-	$(GO) test -fuzz=FuzzPeerRoundTrip -fuzztime=$(FUZZTIME) ./internal/cluster/
+	$(call gate-fuzz,./internal/linalg/,FuzzSparseVsExactRank)
+	$(call gate-fuzz,./internal/failure/,FuzzScenarioSource)
+	$(call gate-fuzz,./internal/graph/,FuzzReadEdgeList)
+	$(call gate-fuzz,./internal/topo/,FuzzLoadWeights)
+	$(call gate-fuzz,./internal/selection/,FuzzCanonicalKey)
+	$(call gate-fuzz,./internal/agent/,FuzzWireFrame)
+	$(call gate-fuzz,./internal/agent/,FuzzBatchFrame)
+	$(call gate-fuzz,./internal/agent/,FuzzBatchRoundTrip)
+	$(call gate-fuzz,./internal/cluster/,FuzzPeerFrame)
+	$(call gate-fuzz,./internal/cluster/,FuzzPeerRoundTrip)
 
 # Hammer the fault-tolerant collection plane (retries, circuit breakers,
 # persistent sessions) with scripted faults and concurrent collectors

@@ -65,10 +65,8 @@ var suites = map[string]struct {
 		out: "BENCH_selection.json",
 		pattern: "^(BenchmarkMonteCarlo|BenchmarkMonteCarloSerial|" +
 			"BenchmarkMonteCarloInc|BenchmarkMonteCarloIncSerial|" +
-			"BenchmarkMonteCarloIncGF2|BenchmarkMonteCarloIncGF2Serial|" +
-			"BenchmarkGF2Rank|BenchmarkGF2RankSerial|" +
 			"BenchmarkMonteRoMe|BenchmarkMonteRoMeSerial)$",
-		packages: []string{"./internal/er/", "./internal/selection/", "./internal/linalg/"},
+		packages: []string{"./internal/er/", "./internal/selection/"},
 	},
 	"bandit": {
 		out: "BENCH_bandit.json",

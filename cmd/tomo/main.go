@@ -362,7 +362,7 @@ func runSelect(args []string) error {
 	case "matrome":
 		ea := er.Availabilities(in.PM, in.Model)
 		var res selection.Result
-		res, err = selection.MatRoMe(in.PM, ea, in.PM.Rank(), selection.MatRoMeOptions{})
+		res, err = selection.MatRoMe(in.PM, ea, in.PM.Rank())
 		selected = res.Selected
 	default:
 		return fmt.Errorf("unknown algorithm %q", *alg)

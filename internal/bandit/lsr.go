@@ -357,7 +357,7 @@ func (b *LSR) maximize(theta []float64, forced int) ([]int, error) {
 
 func (b *LSR) matroidMaximize(theta []float64, forced int) ([]int, error) {
 	if forced < 0 {
-		res, err := selection.MatRoMe(b.pm, theta, b.opts.MatroidBudget, selection.MatRoMeOptions{})
+		res, err := selection.MatRoMe(b.pm, theta, b.opts.MatroidBudget)
 		if err != nil {
 			return nil, err
 		}
@@ -368,7 +368,7 @@ func (b *LSR) matroidMaximize(theta []float64, forced int) ([]int, error) {
 	boost := make([]float64, len(theta))
 	copy(boost, theta)
 	boost[forced] = math.Inf(1)
-	res, err := selection.MatRoMe(b.pm, boost, b.opts.MatroidBudget, selection.MatRoMeOptions{})
+	res, err := selection.MatRoMe(b.pm, boost, b.opts.MatroidBudget)
 	if err != nil {
 		return nil, err
 	}

@@ -127,23 +127,6 @@ func BenchmarkMonteCarloIncSerial(b *testing.B) {
 	}, pm.NumPaths())
 }
 
-// The same sweep on the GF(2) kernel and its serial reference: the packed
-// XOR probes against what per-scenario RowBasis walks cost on the same
-// field.
-func BenchmarkMonteCarloIncGF2(b *testing.B) {
-	pm, model := rocketfuelInstance(b, 150, 2)
-	benchOracleSweep(b, func() Incremental {
-		return NewMonteCarloIncKernel(pm, model, 1000, rand.New(rand.NewPCG(9, 9)), KernelGF2)
-	}, pm.NumPaths())
-}
-
-func BenchmarkMonteCarloIncGF2Serial(b *testing.B) {
-	pm, model := rocketfuelInstance(b, 150, 2)
-	benchOracleSweep(b, func() Incremental {
-		return NewMonteCarloIncSerialKernel(pm, model, 1000, rand.New(rand.NewPCG(9, 9)), KernelGF2)
-	}, pm.NumPaths())
-}
-
 func BenchmarkThetaBoundOracle(b *testing.B) {
 	rng := rand.New(rand.NewPCG(11, 11))
 	pm, _ := randomInstance(rng, 60, 120)

@@ -2,6 +2,7 @@ package er
 
 import (
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"robusttomo/internal/failure"
@@ -146,6 +147,64 @@ func TestMonteCarloIncDeterministic(t *testing.T) {
 	for i := range g1 {
 		if g1[i] != g2[i] {
 			t.Fatalf("Gain diverged at probe %d: %v vs %v", i, g1[i], g2[i])
+		}
+	}
+}
+
+// The steady state of MonteCarloInc — Gain, GainBatch and the Add of an
+// already-committed path (no class splits) — must allocate nothing.
+// Splitting Adds may allocate (new class mask + basis clone); everything
+// else runs off warm slabs.
+func TestMonteCarloIncSteadyStateZeroAlloc(t *testing.T) {
+	pm, model := rocketfuelInstance(t, 120, 2)
+	all := idxUpTo(pm.NumPaths())
+	out := make([]float64, len(all))
+	mc := NewMonteCarloInc(pm, model, 256, rand.New(rand.NewPCG(4, 4)))
+	// Warm up: commit a few rows (splits allocate here, not later) and
+	// touch every code path once.
+	for q := 0; q < 6; q++ {
+		mc.Add(q * 7)
+	}
+	mc.GainBatch(all, out)
+	if avg := testing.AllocsPerRun(100, func() {
+		mc.Gain(11)
+	}); avg != 0 {
+		t.Errorf("Gain allocates %.2f allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		mc.GainBatch(all, out)
+	}); avg != 0 {
+		t.Errorf("GainBatch allocates %.2f allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		mc.Add(7) // already committed: every class is homogeneous, no split
+	}); avg != 0 {
+		t.Errorf("splitless Add allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// Race soak for the pooled per-worker state: concurrent MonteCarlo calls
+// share mcWorkerPool and the path matrix. Run under -race in CI; any
+// sharing bug in the pool or the scenario panels shows up here.
+func TestMonteCarloConcurrentCallsRace(t *testing.T) {
+	pm, model := rocketfuelInstance(t, 100, 5)
+	idx := idxUpTo(pm.NumPaths())
+	var wg sync.WaitGroup
+	results := make([]float64, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			results[g] = MonteCarlo(pm, model, idx, 300, rand.New(rand.NewPCG(uint64(g/2), 6)))
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < 8; g++ {
+		// Same seed from different goroutines must agree: pooled worker
+		// state carries no result-bearing residue between calls.
+		want := MonteCarlo(pm, model, idx, 300, rand.New(rand.NewPCG(uint64(g/2), 6)))
+		if results[g] != want {
+			t.Fatalf("goroutine %d: concurrent MonteCarlo %v, sequential %v", g, results[g], want)
 		}
 	}
 }

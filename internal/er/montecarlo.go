@@ -11,67 +11,36 @@ import (
 	"robusttomo/internal/tomo"
 )
 
-// Kernel selects the rank arithmetic the Monte Carlo oracles run on; see
-// linalg.Kernel. KernelFloat64 (the default) computes the rank over the
-// rationals that the paper's ER(R) metric is defined on. KernelGF2 answers
-// the Boolean survival-rank question with packed XOR words — exact over
-// GF(2) and strictly faster, but a genuine lower bound on the rational
-// rank: shortest-path routing produces even-sized path families whose edge
-// sets cancel mod 2 (e.g. four paths through a shared hub), so on real
-// topologies the GF(2) rank sits well below the ER rank (DESIGN.md §13).
-// Use GF(2) for Boolean-tomography structure or as a cheap lower-bound
-// probe, not as a drop-in ER replacement.
-type Kernel = linalg.Kernel
-
-const (
-	KernelGF2     = linalg.KernelGF2
-	KernelFloat64 = linalg.KernelFloat64
-)
-
 // mcWorker is the per-worker elimination state of the batch MonteCarlo
 // estimator, recycled across calls through mcWorkerPool: a warmed basis and
-// survivor scratch sized for one (links, kernel) shape.
+// survivor scratch sized for one link count.
 type mcWorker struct {
-	links  int
-	kernel Kernel
-	gf2    *linalg.GF2Basis
-	f64    *linalg.SparseBasis
-	surv   []int
+	basis *linalg.SparseBasis
+	surv  []int
 }
 
 var mcWorkerPool sync.Pool
 
-// acquireMCWorker returns a pooled worker state compatible with the given
-// shape, or builds a fresh one.
-func acquireMCWorker(links int, kernel Kernel) *mcWorker {
-	if w, ok := mcWorkerPool.Get().(*mcWorker); ok && w.links == links && w.kernel == kernel {
+// acquireMCWorker returns a pooled worker state for the given link count,
+// or builds a fresh one.
+func acquireMCWorker(links int) *mcWorker {
+	if w, ok := mcWorkerPool.Get().(*mcWorker); ok && w.basis.Dim() == links {
 		return w
 	}
-	w := &mcWorker{links: links, kernel: kernel}
-	if kernel == KernelGF2 {
-		w.gf2 = linalg.NewGF2Basis(links)
-	} else {
-		w.f64 = linalg.NewSparseBasisRankOnly(links)
-	}
-	return w
+	return &mcWorker{basis: linalg.NewSparseBasisRankOnly(links)}
 }
 
 // MonteCarlo estimates ER(R) as the average rank of the surviving rows over
-// n freshly sampled failure scenarios, on the default float64 kernel.
-// Scenarios are drawn up front on the caller's goroutine (so the result is
-// deterministic in rng) and packed into a bit-column ScenarioSet;
-// per-scenario survivor filtering is then a bit test against each path's
-// survival mask instead of a per-edge walk. Ranks are evaluated in parallel
-// via chunked atomic-counter dispatch — workers claim fixed index ranges,
-// so there is no per-scenario channel send and the per-scenario ranks land
-// in fixed slots regardless of scheduling. Per-worker bases and scratch are
-// recycled across calls through a sync.Pool.
+// n freshly sampled failure scenarios. Scenarios are drawn up front on the
+// caller's goroutine (so the result is deterministic in rng) and packed
+// into a bit-column ScenarioSet; per-scenario survivor filtering is then a
+// bit test against each path's survival mask instead of a per-edge walk.
+// Ranks are evaluated in parallel via chunked atomic-counter dispatch —
+// workers claim fixed index ranges, so there is no per-scenario channel
+// send and the per-scenario ranks land in fixed slots regardless of
+// scheduling. Per-worker bases and scratch are recycled across calls
+// through a sync.Pool.
 func MonteCarlo(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rng *rand.Rand) float64 {
-	return MonteCarloKernel(pm, model, idx, n, rng, KernelFloat64)
-}
-
-// MonteCarloKernel is MonteCarlo on an explicit rank kernel.
-func MonteCarloKernel(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rng *rand.Rand, kernel Kernel) float64 {
 	if len(idx) == 0 || n <= 0 {
 		return 0
 	}
@@ -82,22 +51,11 @@ func MonteCarloKernel(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n i
 	words := set.Words()
 	maskSlab := make([]uint64, len(idx)*words)
 	masks := make([][]uint64, len(idx))
-	var packed [][]uint64
-	var rowCols [][]int
-	var rowVals [][]float64
-	if kernel == KernelGF2 {
-		packed = make([][]uint64, len(idx))
-	} else {
-		rowCols = make([][]int, len(idx))
-		rowVals = make([][]float64, len(idx))
-	}
+	rowCols := make([][]int, len(idx))
+	rowVals := make([][]float64, len(idx))
 	for k, i := range idx {
 		masks[k] = pm.SurvivalMask(set, i, maskSlab[k*words:(k+1)*words:(k+1)*words])
-		if kernel == KernelGF2 {
-			packed[k] = pm.PackedRow(i)
-		} else {
-			rowCols[k], rowVals[k] = sparsifyRow(pm.Row(i))
-		}
+		rowCols[k], rowVals[k] = sparsifyRow(pm.Row(i))
 	}
 
 	ranks := make([]int, n)
@@ -114,8 +72,8 @@ func MonteCarloKernel(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n i
 	}
 	var next atomic.Int64
 	runShards(workers, func(int) {
-		w := acquireMCWorker(links, kernel)
-		surv := w.surv[:0]
+		w := acquireMCWorker(links)
+		basis, surv := w.basis, w.surv[:0]
 		for {
 			c := int(next.Add(1)) - 1
 			lo := c * chunk
@@ -134,27 +92,14 @@ func MonteCarloKernel(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n i
 						surv = append(surv, k)
 					}
 				}
-				if kernel == KernelGF2 {
-					basis := w.gf2
-					basis.Reset()
-					for _, k := range surv {
-						basis.AddPacked(packed[k])
-						if basis.Rank() == links {
-							break
-						}
+				basis.Reset()
+				for _, k := range surv {
+					basis.AddSparse(rowCols[k], rowVals[k])
+					if basis.Rank() == links {
+						break
 					}
-					ranks[s] = basis.Rank()
-				} else {
-					basis := w.f64
-					basis.Reset()
-					for _, k := range surv {
-						basis.AddSparse(rowCols[k], rowVals[k])
-						if basis.Rank() == links {
-							break
-						}
-					}
-					ranks[s] = basis.Rank()
 				}
+				ranks[s] = basis.Rank()
 			}
 		}
 		w.surv = surv
@@ -188,46 +133,37 @@ func MonteCarloKernel(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n i
 // On realistic failure rates a thousand-scenario panel settles into a few
 // dozen classes, which cuts the rank work by orders of magnitude.
 //
-// Rank probes run on the configured kernel (float64 sparse elimination by
-// default — the field ER(R) is defined over — or packed GF(2) XOR; see
-// NewMonteCarloIncKernel and the Kernel docs for when the fields diverge).
-// Gain and Add are single-goroutine over the handful of classes; GainBatch
-// fans candidates out over the persistent worker pool, every gain landing
-// in its fixed output slot, so results are bit-identical to the serial
-// reference oracle (NewMonteCarloIncSerial, enforced by
-// TestMonteCarloIncMatchesSerial) regardless of scheduling. The steady
-// state — Gain, GainBatch, and splitless Add — allocates nothing: masks and
-// scratch live in per-oracle slabs, class bases keep their storage across
-// rows, and the batch fan-out reuses a prebound shard function
-// (TestMonteCarloIncSteadyStateZeroAlloc).
+// Rank probes run on rank-only float64 sparse bases, since ER(R) is rank
+// over the reals. Gain and Add are single-goroutine over the handful of
+// classes; GainBatch fans candidates out over the persistent worker pool,
+// every gain landing in its fixed output slot, so results are
+// bit-identical to the serial reference oracle (NewMonteCarloIncSerial,
+// enforced by TestMonteCarloIncMatchesSerial) regardless of scheduling.
+// The steady state — Gain, GainBatch, and splitless Add — allocates
+// nothing: masks and scratch live in per-oracle slabs, class bases keep
+// their storage across rows, and the batch fan-out reuses a prebound shard
+// function (TestMonteCarloIncSteadyStateZeroAlloc).
 type MonteCarloInc struct {
-	pm     *tomo.PathMatrix
-	set    *failure.ScenarioSet
-	kernel Kernel
-	words  int // panel words per mask
+	pm    *tomo.PathMatrix
+	set   *failure.ScenarioSet
+	words int // panel words per mask
 
 	// masks[i] is candidate i's survival mask over the panel, carved from
-	// one slab. packed[i] (GF(2)) is its bit-packed incidence row, shared
-	// with the matrix; rowCols[i]/rowVals[i] (float64) its sorted sparse
-	// row.
+	// one slab; rowCols[i]/rowVals[i] its sorted sparse row.
 	masks   [][]uint64
-	packed  [][]uint64
 	rowCols [][]int
 	rowVals [][]float64
 	value   float64
 
 	// Scenario equivalence classes. classMask[c] is class c's membership
 	// bitmask over the panel (classes partition the panel), classBits[c]
-	// its popcount. Exactly one of gf2/f64 is populated, by kernel.
+	// its popcount, bases[c] its rank-only basis.
 	classMask [][]uint64
 	classBits []int32
-	gf2       []*linalg.GF2Basis
-	f64       []*linalg.SparseBasis
+	bases     []*linalg.SparseBasis
 
-	// Per-worker probe scratch: packed reduction words for GF(2) (carved
-	// from one slab), dense workspaces for float64.
-	gf2Scratch [][]uint64
-	wss        []*linalg.Workspace
+	// wss holds one probe workspace per pool worker.
+	wss []*linalg.Workspace
 
 	// GainBatch fan-out state: the shard function is prebound at
 	// construction (binding a method value allocates) and parameters flow
@@ -245,20 +181,14 @@ var (
 )
 
 // NewMonteCarloInc draws runs scenarios from the model and returns an empty
-// oracle on the default float64 kernel.
+// oracle. The rng drives the packed panel draw; the serial reference
+// obtains the identical panel from the same seed.
 func NewMonteCarloInc(pm *tomo.PathMatrix, model failure.Sampler, runs int, rng *rand.Rand) *MonteCarloInc {
-	return NewMonteCarloIncKernel(pm, model, runs, rng, KernelFloat64)
-}
-
-// NewMonteCarloIncKernel is NewMonteCarloInc on an explicit rank kernel.
-// The rng drives the packed panel draw; the serial reference obtains the
-// identical panel from the same seed.
-func NewMonteCarloIncKernel(pm *tomo.PathMatrix, model failure.Sampler, runs int, rng *rand.Rand, kernel Kernel) *MonteCarloInc {
 	set, err := failure.SampleScenarioSet(model, rng, runs)
 	if err != nil {
 		panic("er: " + err.Error()) // only reachable with runs <= 0 or a zero-link sampler
 	}
-	mc := &MonteCarloInc{pm: pm, set: set, kernel: kernel, words: set.Words()}
+	mc := &MonteCarloInc{pm: pm, set: set, words: set.Words()}
 	links := pm.NumLinks()
 
 	// The whole panel starts as one class over the empty basis; the empty
@@ -266,39 +196,22 @@ func NewMonteCarloIncKernel(pm *tomo.PathMatrix, model failure.Sampler, runs int
 	// panel mask with clean padding.
 	mc.classMask = [][]uint64{set.SurvivalMask(nil, nil)}
 	mc.classBits = []int32{int32(runs)}
-	if kernel == KernelGF2 {
-		mc.gf2 = []*linalg.GF2Basis{linalg.NewGF2Basis(links)}
-	} else {
-		mc.f64 = []*linalg.SparseBasis{linalg.NewSparseBasisRankOnly(links)}
-	}
+	mc.bases = []*linalg.SparseBasis{linalg.NewSparseBasisRankOnly(links)}
 
 	workers := poolSize()
-	if kernel == KernelGF2 {
-		rowWords := pm.PackedWords()
-		slab := make([]uint64, workers*rowWords)
-		mc.gf2Scratch = make([][]uint64, workers)
-		for i := range mc.gf2Scratch {
-			mc.gf2Scratch[i] = slab[i*rowWords : (i+1)*rowWords : (i+1)*rowWords]
-		}
-	} else {
-		mc.wss = make([]*linalg.Workspace, workers)
-		for i := range mc.wss {
-			mc.wss[i] = linalg.NewWorkspace(links)
-		}
+	mc.wss = make([]*linalg.Workspace, workers)
+	for i := range mc.wss {
+		mc.wss[i] = linalg.NewWorkspace(links)
 	}
 	mc.batchShardFn = mc.batchShard
 
-	// Precompute every candidate's survival mask (one slab) and its row in
-	// kernel-native form, chunked over paths.
+	// Precompute every candidate's survival mask (one slab) and sparse row,
+	// chunked over paths.
 	n := pm.NumPaths()
 	maskSlab := make([]uint64, n*mc.words)
 	mc.masks = make([][]uint64, n)
-	if kernel == KernelGF2 {
-		mc.packed = make([][]uint64, n)
-	} else {
-		mc.rowCols = make([][]int, n)
-		mc.rowVals = make([][]float64, n)
-	}
+	mc.rowCols = make([][]int, n)
+	mc.rowVals = make([][]float64, n)
 	var nextPath atomic.Int64
 	runShards(minInt(workers, n), func(int) {
 		for {
@@ -307,11 +220,7 @@ func NewMonteCarloIncKernel(pm *tomo.PathMatrix, model failure.Sampler, runs int
 				return
 			}
 			mc.masks[i] = pm.SurvivalMask(set, i, maskSlab[i*mc.words:(i+1)*mc.words:(i+1)*mc.words])
-			if kernel == KernelGF2 {
-				mc.packed[i] = pm.PackedRow(i)
-			} else {
-				mc.rowCols[i], mc.rowVals[i] = sparsifyRow(pm.Row(i))
-			}
+			mc.rowCols[i], mc.rowVals[i] = sparsifyRow(pm.Row(i))
 		}
 	})
 	return mc
@@ -333,9 +242,6 @@ func sparsifyRow(row []float64) ([]int, []float64) {
 // Runs returns the scenario panel size.
 func (mc *MonteCarloInc) Runs() int { return mc.set.N() }
 
-// Kernel returns the rank kernel the oracle runs on.
-func (mc *MonteCarloInc) Kernel() Kernel { return mc.kernel }
-
 // Classes returns the current number of scenario equivalence classes (an
 // observability hook; bounded by min(2^adds, runs)).
 func (mc *MonteCarloInc) Classes() int { return len(mc.classMask) }
@@ -352,10 +258,7 @@ func andCount(a, b []uint64) int {
 // inSpan probes candidate path's row against class c's basis with worker
 // w's scratch. Read-only on the basis; safe for concurrent workers.
 func (mc *MonteCarloInc) inSpan(c, path, w int) bool {
-	if mc.kernel == KernelGF2 {
-		return mc.gf2[c].InSpanPackedWith(mc.packed[path], mc.gf2Scratch[w])
-	}
-	return mc.f64[c].InSpanSparseWith(mc.rowCols[path], mc.rowVals[path], mc.wss[w])
+	return mc.bases[c].InSpanSparseWith(mc.rowCols[path], mc.rowVals[path], mc.wss[w])
 }
 
 // gainHits counts the scenarios in which the path both survives and is
@@ -407,13 +310,7 @@ func (mc *MonteCarloInc) GainBatch(paths []int, out []float64) {
 	if len(paths) == 0 {
 		return
 	}
-	workers := poolSize()
-	if mc.kernel == KernelGF2 {
-		workers = minInt(workers, len(mc.gf2Scratch))
-	} else {
-		workers = minInt(workers, len(mc.wss))
-	}
-	workers = minInt(workers, len(paths))
+	workers := minInt(minInt(poolSize(), len(mc.wss)), len(paths))
 	mc.batchPaths, mc.batchOut = paths, out
 	mc.batchNext.Store(0)
 	runShardsWith(workers, mc.batchShardFn, &mc.wg)
@@ -423,10 +320,7 @@ func (mc *MonteCarloInc) GainBatch(paths []int, out []float64) {
 // addRow commits the path's row into class c's basis, reporting whether it
 // was independent (and so raised the class rank).
 func (mc *MonteCarloInc) addRow(c, path int) bool {
-	if mc.kernel == KernelGF2 {
-		return mc.gf2[c].AddPacked(mc.packed[path])
-	}
-	added, _, _ := mc.f64[c].AddSparse(mc.rowCols[path], mc.rowVals[path])
+	added, _, _ := mc.bases[c].AddSparse(mc.rowCols[path], mc.rowVals[path])
 	return added
 }
 
@@ -461,11 +355,7 @@ func (mc *MonteCarloInc) Add(path int) {
 			target = len(mc.classMask)
 			mc.classMask = append(mc.classMask, newMask)
 			mc.classBits = append(mc.classBits, int32(cnt))
-			if mc.kernel == KernelGF2 {
-				mc.gf2 = append(mc.gf2, mc.gf2[c].Clone())
-			} else {
-				mc.f64 = append(mc.f64, mc.f64[c].Clone())
-			}
+			mc.bases = append(mc.bases, mc.bases[c].Clone())
 		}
 		if mc.addRow(target, path) {
 			hits += cnt

@@ -28,7 +28,7 @@ type ProbBoundInc struct {
 	model *failure.Model
 	ea    []float64 // memoized EA per candidate path
 
-	basis   linalg.RowBasis
+	basis   *linalg.SparseBasis
 	members []int // basis member -> candidate path index
 	value   float64
 }

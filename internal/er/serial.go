@@ -30,29 +30,13 @@ func serialPanel(model failure.Sampler, rng *rand.Rand, n int) []failure.Scenari
 // scenario's bool failure vector on one goroutine. Given the same rng
 // state, MonteCarlo returns the identical value.
 func MonteCarloSerial(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rng *rand.Rand) float64 {
-	return MonteCarloSerialKernel(pm, model, idx, n, rng, KernelFloat64)
-}
-
-// MonteCarloSerialKernel is MonteCarloSerial on an explicit rank kernel,
-// the one-goroutine reference MonteCarloKernel must be bit-identical to.
-func MonteCarloSerialKernel(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rng *rand.Rand, kernel Kernel) float64 {
 	if len(idx) == 0 || n <= 0 {
 		return 0
 	}
 	scenarios := serialPanel(model, rng, n)
 	sum := 0
 	for _, sc := range scenarios {
-		if kernel == KernelFloat64 {
-			sum += pm.RankUnder(idx, sc)
-			continue
-		}
-		basis := linalg.NewGF2Basis(pm.NumLinks())
-		for _, i := range idx {
-			if pm.Available(i, sc) {
-				basis.AddPacked(pm.PackedRow(i))
-			}
-		}
-		sum += basis.Rank()
+		sum += pm.RankUnder(idx, sc)
 	}
 	return float64(sum) / float64(n)
 }
@@ -62,31 +46,21 @@ func MonteCarloSerialKernel(pm *tomo.PathMatrix, model failure.Sampler, idx []in
 type serialMonteCarloInc struct {
 	pm        *tomo.PathMatrix
 	scenarios []failure.Scenario
-	bases     []linalg.RowBasis
+	bases     []*linalg.SparseBasis
 	value     float64
 }
 
 var _ Incremental = (*serialMonteCarloInc)(nil)
 
 // NewMonteCarloIncSerial draws runs scenarios from the model and returns
-// the serial reference oracle. It consumes the rng exactly like
-// NewMonteCarloInc, so equal seeds give equal panels.
+// the serial reference oracle: one basis per scenario, no class sharing,
+// no packing. It consumes the rng exactly like NewMonteCarloInc, so equal
+// seeds give equal panels.
 func NewMonteCarloIncSerial(pm *tomo.PathMatrix, model failure.Sampler, runs int, rng *rand.Rand) Incremental {
-	return NewMonteCarloIncSerialKernel(pm, model, runs, rng, KernelFloat64)
-}
-
-// NewMonteCarloIncSerialKernel is NewMonteCarloIncSerial on an explicit
-// rank kernel: one RowBasis per scenario on the chosen arithmetic
-// (GF2Basis implements the float adapters), no class sharing, no packing.
-func NewMonteCarloIncSerialKernel(pm *tomo.PathMatrix, model failure.Sampler, runs int, rng *rand.Rand, kernel Kernel) Incremental {
 	scenarios := serialPanel(model, rng, runs)
-	bases := make([]linalg.RowBasis, runs)
+	bases := make([]*linalg.SparseBasis, runs)
 	for i := range bases {
-		if kernel == KernelGF2 {
-			bases[i] = linalg.NewGF2Basis(pm.NumLinks())
-		} else {
-			bases[i] = linalg.NewSparseBasis(pm.NumLinks())
-		}
+		bases[i] = linalg.NewSparseBasis(pm.NumLinks())
 	}
 	return &serialMonteCarloInc{pm: pm, scenarios: scenarios, bases: bases}
 }

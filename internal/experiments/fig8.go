@@ -71,7 +71,7 @@ func MatroidLoss(cfg MatroidLossConfig, sc Scale) (MatroidLossResult, error) {
 		budget := in.PM.Rank()
 
 		ea := er.Availabilities(in.PM, in.Model)
-		mat, err := selection.MatRoMe(in.PM, ea, budget, selection.MatRoMeOptions{})
+		mat, err := selection.MatRoMe(in.PM, ea, budget)
 		if err != nil {
 			return err
 		}

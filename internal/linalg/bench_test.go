@@ -41,49 +41,12 @@ func BenchmarkRREF(b *testing.B) {
 	}
 }
 
-func BenchmarkBasisAdd(b *testing.B) {
-	m := benchMatrix(400, 328)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		basis := NewBasis(m.Cols())
-		for r := 0; r < m.Rows(); r++ {
-			basis.Add(m.Row(r))
-		}
-		if basis.Rank() == 0 {
-			b.Fatal("empty basis")
-		}
-	}
-}
-
-func BenchmarkBasisDependent(b *testing.B) {
-	m := benchMatrix(400, 328)
-	basis := NewBasis(m.Cols())
-	for r := 0; r < m.Rows()/2; r++ {
-		basis.Add(m.Row(r))
-	}
-	probe := m.Row(m.Rows() - 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		basis.Dependent(probe)
-	}
-}
-
 func BenchmarkPivotedCholesky(b *testing.B) {
 	m := benchMatrix(200, 328)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if sel := PivotedCholeskyRows(m, 1e-7); len(sel) == 0 {
 			b.Fatal("no rows selected")
-		}
-	}
-}
-
-func BenchmarkSingularValues(b *testing.B) {
-	m := benchMatrix(40, 60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sv := SingularValues(m); len(sv) == 0 {
-			b.Fatal("no singular values")
 		}
 	}
 }

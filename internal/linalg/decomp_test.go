@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -60,85 +59,6 @@ func TestPivotedCholeskyRank(t *testing.T) {
 		return Rank(m.SelectRows(sel)) == len(sel)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSingularValuesKnown(t *testing.T) {
-	// diag(3,2) has singular values 3, 2.
-	m := mustFromRows(t, [][]float64{{3, 0}, {0, 2}})
-	sv := SingularValues(m)
-	if len(sv) != 2 || math.Abs(sv[0]-3) > 1e-9 || math.Abs(sv[1]-2) > 1e-9 {
-		t.Fatalf("SingularValues = %v", sv)
-	}
-}
-
-func TestSingularValuesRankDeficient(t *testing.T) {
-	m := mustFromRows(t, [][]float64{{1, 1}, {2, 2}})
-	sv := SingularValues(m)
-	// Frobenius norm = sqrt(10); single nonzero singular value sqrt(10).
-	if math.Abs(sv[0]-math.Sqrt(10)) > 1e-9 {
-		t.Errorf("sv[0] = %v, want sqrt(10)", sv[0])
-	}
-	if sv[1] > 1e-9 {
-		t.Errorf("sv[1] = %v, want ~0", sv[1])
-	}
-	if got := RankSVD(m, 1e-9); got != 1 {
-		t.Errorf("RankSVD = %d, want 1", got)
-	}
-}
-
-func TestSingularValuesEmpty(t *testing.T) {
-	if sv := SingularValues(NewMatrix(0, 3)); sv != nil {
-		t.Fatalf("empty SVD = %v", sv)
-	}
-	if got := RankSVD(NewMatrix(2, 2), 1e-9); got != 0 {
-		t.Fatalf("RankSVD(zero) = %d", got)
-	}
-}
-
-func TestSingularValuesWideAndTallAgree(t *testing.T) {
-	m := mustFromRows(t, [][]float64{
-		{1, 0, 1, 0, 1},
-		{0, 1, 0, 1, 0},
-		{1, 1, 1, 1, 1},
-	})
-	svA := SingularValues(m)
-	svB := SingularValues(m.Transpose())
-	if len(svA) != len(svB) {
-		t.Fatalf("lengths differ: %v vs %v", svA, svB)
-	}
-	for i := range svA {
-		if math.Abs(svA[i]-svB[i]) > 1e-8 {
-			t.Fatalf("singular values differ: %v vs %v", svA, svB)
-		}
-	}
-}
-
-// Property: RankSVD agrees with Gaussian rank on random 0/1 matrices, and
-// the sum of squared singular values equals the squared Frobenius norm.
-func TestSVDProperties(t *testing.T) {
-	check := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 71))
-		rows := 1 + rng.IntN(8)
-		cols := 1 + rng.IntN(8)
-		m := randomBinaryMatrix(rng, rows, cols, 0.5)
-		if RankSVD(m, 1e-9) != Rank(m) {
-			return false
-		}
-		frob2 := 0.0
-		for i := 0; i < rows; i++ {
-			for _, v := range m.Row(i) {
-				frob2 += v * v
-			}
-		}
-		sum2 := 0.0
-		for _, s := range SingularValues(m) {
-			sum2 += s * s
-		}
-		return math.Abs(frob2-sum2) < 1e-6
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,13 +1,16 @@
 package linalg
 
-import "math/big"
+import (
+	"math"
+	"math/big"
+)
 
 // RankExact computes the exact rank of a matrix with rational entries using
 // fraction-free Gaussian elimination over big.Rat. It is immune to
 // round-off and serves as the ground-truth oracle for the floating-point
-// kernels in tests. Entries of m are converted via big.Rat's float64
-// constructor, so m must hold exactly representable values (path matrices
-// are 0/1, which always qualifies).
+// kernels in tests. Entries of m are converted exactly, integers directly
+// and other values through big.Rat's float64 constructor, so m must hold
+// finite values (path matrices are 0/1, which always qualifies).
 func RankExact(m *Matrix) int {
 	rows, cols := m.Rows(), m.Cols()
 	if rows == 0 || cols == 0 {
@@ -18,12 +21,19 @@ func RankExact(m *Matrix) int {
 		work[i] = make([]*big.Rat, cols)
 		for j := 0; j < cols; j++ {
 			r := new(big.Rat)
-			r.SetFloat64(m.At(i, j))
+			// SetInt64 skips SetFloat64's normalizing GCD, which would
+			// otherwise dominate the cost on 0/1 inputs.
+			if v := m.At(i, j); v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+				r.SetInt64(int64(v))
+			} else {
+				r.SetFloat64(v)
+			}
 			work[i][j] = r
 		}
 	}
 
 	rank := 0
+	f, t := new(big.Rat), new(big.Rat) // elimination temporaries
 	for col := 0; col < cols && rank < rows; col++ {
 		pivot := -1
 		for r := rank; r < rows; r++ {
@@ -43,14 +53,13 @@ func RankExact(m *Matrix) int {
 			if row[col].Sign() == 0 {
 				continue
 			}
-			f := new(big.Rat).Mul(row[col], inv)
+			f.Mul(row[col], inv)
 			row[col].SetInt64(0)
 			for j := col + 1; j < cols; j++ {
 				if prow[j].Sign() == 0 {
 					continue
 				}
-				t := new(big.Rat).Mul(f, prow[j])
-				row[j].Sub(row[j], t)
+				row[j].Sub(row[j], t.Mul(f, prow[j]))
 			}
 		}
 		rank++

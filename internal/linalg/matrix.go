@@ -1,15 +1,16 @@
-// Package linalg implements the dense linear algebra needed for network
-// tomography path matrices: rank computation (Gaussian elimination and
-// one-sided Jacobi SVD), reduced row echelon form, pivoted Cholesky row
-// selection (the SelectPath baseline's basis extraction), an incremental
-// row basis that tracks dependency coefficients (required by the paper's
-// probabilistic ER bound), and an exact big.Rat elimination used to verify
-// the floating-point kernels in tests.
+// Package linalg implements the linear algebra needed for network
+// tomography path matrices: rank by Gaussian elimination, reduced row
+// echelon form, pivoted Cholesky row selection (the SelectPath baseline's
+// basis extraction), SparseBasis — the one incremental row basis, which
+// tracks dependency coefficients for the paper's probabilistic ER bound and
+// runs rank-only for the Monte Carlo oracles and MatRoMe — and an exact
+// big.Rat rank (RankExact) that the floating-point kernels are tested
+// against.
 //
 // Path matrices are 0/1 and modest in size (thousands of rows, around a
-// thousand columns), so a dense row-major float64 representation with a
-// fixed absolute tolerance is both simple and robust. DefaultTol is the
-// tolerance used across the repository.
+// thousand columns), so float64 arithmetic with a fixed absolute tolerance
+// is both simple and robust. DefaultTol is the tolerance used across the
+// repository.
 package linalg
 
 import (
@@ -114,24 +115,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		out[i] = sum
 	}
 	return out
-}
-
-// Gram returns m·mᵀ (the Gram matrix of the rows).
-func (m *Matrix) Gram() *Matrix {
-	g := NewMatrix(m.rows, m.rows)
-	for i := 0; i < m.rows; i++ {
-		ri := m.Row(i)
-		for j := i; j < m.rows; j++ {
-			rj := m.Row(j)
-			sum := 0.0
-			for k := range ri {
-				sum += ri[k] * rj[k]
-			}
-			g.Set(i, j, sum)
-			g.Set(j, i, sum)
-		}
-	}
-	return g
 }
 
 // String renders small matrices for debugging; large matrices are

@@ -102,14 +102,6 @@ func TestMulVec(t *testing.T) {
 	m.MulVec([]float64{1})
 }
 
-func TestGram(t *testing.T) {
-	m := mustFromRows(t, [][]float64{{1, 1, 0}, {0, 1, 1}})
-	g := m.Gram()
-	if g.At(0, 0) != 2 || g.At(1, 1) != 2 || g.At(0, 1) != 1 || g.At(1, 0) != 1 {
-		t.Fatalf("Gram wrong:\n%v", g)
-	}
-}
-
 func TestStringForms(t *testing.T) {
 	small := mustFromRows(t, [][]float64{{1, 2}})
 	if !strings.Contains(small.String(), "1 2") {

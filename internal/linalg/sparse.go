@@ -2,25 +2,6 @@ package linalg
 
 import "fmt"
 
-// RowBasis is the incremental-basis contract shared by the dense Basis and
-// the SparseBasis. The expected-rank oracles only need these operations.
-type RowBasis interface {
-	// Rank returns the number of accepted vectors.
-	Rank() int
-	// Dim returns the vector dimension.
-	Dim() int
-	// Dependent reports whether v lies in the span, with the
-	// representation support over accepted members.
-	Dependent(v []float64) (dependent bool, support []int)
-	// Add inserts v if independent; otherwise reports the support.
-	Add(v []float64) (added bool, member int, support []int)
-}
-
-var (
-	_ RowBasis = (*Basis)(nil)
-	_ RowBasis = (*SparseBasis)(nil)
-)
-
 // sparseRow is a vector stored as parallel (col, val) pairs, sorted by
 // column.
 type sparseRow struct {
@@ -30,13 +11,23 @@ type sparseRow struct {
 
 func (r *sparseRow) nnz() int { return len(r.cols) }
 
-// SparseBasis is Basis with rows stored sparsely. Path-matrix rows carry a
-// handful of nonzeros across hundreds of columns, and even after
-// elimination fill-in the reduced rows of ISP instances stay far from
-// dense, so row updates cost O(nnz) instead of O(dim). Semantics are
-// identical to Basis (differential-tested), including the RREF invariant
-// that makes single-pass reduction exact and the member-indexed
-// representation supports the ER bound consumes.
+// SparseBasis maintains a growing set of linearly independent row vectors
+// in fully reduced (RREF) form, stored sparsely, and tracks for every
+// accepted vector the coefficients of its representation in terms of the
+// previously accepted ones.
+//
+// Members are addressed by acceptance order (0, 1, 2, ...). When Add
+// rejects a vector as dependent it reports the support of its unique
+// representation over the members — the paper's R_q, the set of basis
+// paths a dependent path q depends on, which the ER bound consumes.
+//
+// Invariant: every stored row has value 1 in its own pivot column and 0 in
+// every other row's pivot column, so reducing an external vector against
+// the rows in a single pass is exact. Path-matrix rows carry a handful of
+// nonzeros across hundreds of columns, and even after elimination fill-in
+// the reduced rows of ISP instances stay far from dense, so row updates
+// cost O(nnz) instead of O(dim). Acceptance is differential-tested against
+// the exact big.Rat rank (RankExact).
 type SparseBasis struct {
 	dim int
 	tol float64
@@ -113,10 +104,10 @@ func newSparseBasis(dim int, tol float64, rankOnly bool) *SparseBasis {
 	return b
 }
 
-// Rank implements RowBasis.
+// Rank returns the number of accepted vectors.
 func (b *SparseBasis) Rank() int { return len(b.rows) }
 
-// Dim implements RowBasis.
+// Dim returns the vector dimension.
 func (b *SparseBasis) Dim() int { return b.dim }
 
 // Reset empties the basis for reuse, keeping its allocated workspace. Hot
@@ -203,7 +194,10 @@ func (b *SparseBasis) memberCoeffs(factors []float64) []float64 {
 	return coeffs
 }
 
-// Dependent implements RowBasis. In rank-only mode the support is nil.
+// Dependent reports whether v already lies in the span, without modifying
+// the basis. If it does, support lists the member indices (in acceptance
+// order) whose combination reproduces v; it is empty for the zero vector
+// and nil in rank-only mode.
 func (b *SparseBasis) Dependent(v []float64) (dependent bool, support []int) {
 	return b.DependentScratch(v, nil)
 }
@@ -312,7 +306,9 @@ func (b *SparseBasis) Representation(v []float64) (coeffs []float64, ok bool) {
 	return append([]float64(nil), b.memberCoeffs(factors)...), true
 }
 
-// Add implements RowBasis.
+// Add inserts v if it is independent of the basis: added reports true and
+// member is its index. Otherwise added is false and support lists the
+// members whose combination reproduces v (nil in rank-only mode).
 func (b *SparseBasis) Add(v []float64) (added bool, member int, support []int) {
 	if len(v) != b.dim {
 		panic(fmt.Sprintf("linalg: sparse basis dim %d, vector dim %d", b.dim, len(v)))
@@ -441,8 +437,7 @@ func (b *SparseBasis) addLoaded() (added bool, member int, support []int) {
 // Clone returns a deep copy of the basis, so speculative additions can be
 // explored without mutating the original.
 func (b *SparseBasis) Clone() *SparseBasis {
-	c := NewSparseBasisTol(b.dim, b.tol)
-	c.rankOnly = b.rankOnly
+	c := newSparseBasis(b.dim, b.tol, b.rankOnly)
 	c.rows = make([]sparseRow, len(b.rows))
 	c.combos = make([][]float64, len(b.combos))
 	c.pivots = append([]int{}, b.pivots...)

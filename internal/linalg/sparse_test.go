@@ -1,41 +1,124 @@
 package linalg
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
 
-// Differential property: SparseBasis and Basis agree exactly — acceptance
-// decisions, member indices and representation supports — on random 0/1
-// matrices fed in random order.
+// exactRankOfRows is RankExact over the given rows (0 for none).
+func exactRankOfRows(rows [][]float64) int {
+	if len(rows) == 0 {
+		return 0
+	}
+	m, err := FromRows(rows)
+	if err != nil {
+		panic(err)
+	}
+	return RankExact(m)
+}
+
+// exactRef replays a SparseBasis against the exact big.Rat rank: it keeps
+// the accepted rows in acceptance order and checks every basis answer.
+type exactRef struct {
+	members [][]float64
+}
+
+// checkAdd checks one Add outcome: v is accepted exactly when the exact
+// rank of the accepted rows rises, as the next member index; a rejected
+// v's support must be its unique representation.
+func (r *exactRef) checkAdd(v []float64, added bool, member int, support []int) error {
+	rises := exactRankOfRows(append(r.members[:len(r.members):len(r.members)], v)) > len(r.members)
+	if added != rises {
+		return fmt.Errorf("Add accepted=%v, exact rank rises=%v", added, rises)
+	}
+	if !added {
+		return r.checkSupport(v, support)
+	}
+	if member != len(r.members) {
+		return fmt.Errorf("accepted as member %d, want %d (acceptance order)", member, len(r.members))
+	}
+	r.members = append(r.members, append([]float64(nil), v...))
+	return nil
+}
+
+// checkDependent checks one Dependent outcome against the exact rank.
+func (r *exactRef) checkDependent(v []float64, dep bool, support []int) error {
+	inSpan := exactRankOfRows(append(r.members[:len(r.members):len(r.members)], v)) == len(r.members)
+	if dep != inSpan {
+		return fmt.Errorf("Dependent=%v, exact in-span=%v", dep, inSpan)
+	}
+	if !dep {
+		return nil
+	}
+	return r.checkSupport(v, support)
+}
+
+// checkSupport checks that support is exactly the support of v's unique
+// representation over the members: v lies in the span of the support
+// members and leaves it when any one of them is removed.
+func (r *exactRef) checkSupport(v []float64, support []int) error {
+	rows := make([][]float64, 0, len(support)+1)
+	for _, k := range support {
+		if k < 0 || k >= len(r.members) {
+			return fmt.Errorf("support %v names a non-member", support)
+		}
+		rows = append(rows, r.members[k])
+	}
+	if exactRankOfRows(append(rows, v)) != len(support) {
+		return fmt.Errorf("v outside the span of its support %v", support)
+	}
+	for drop := range support {
+		without := append(append([][]float64{}, rows[:drop]...), rows[drop+1:]...)
+		if exactRankOfRows(append(without, v)) == len(without) {
+			return fmt.Errorf("v stays in the span of support %v without member %d", support, support[drop])
+		}
+	}
+	return nil
+}
+
+// checkRepresentation checks that coeffs over the members rebuild v.
+func (r *exactRef) checkRepresentation(v, coeffs []float64) error {
+	if len(coeffs) != len(r.members) {
+		return fmt.Errorf("%d coefficients for %d members", len(coeffs), len(r.members))
+	}
+	for j := range v {
+		x := 0.0
+		for k, c := range coeffs {
+			x += c * r.members[k][j]
+		}
+		if math.Abs(x-v[j]) > 1e-9 {
+			return fmt.Errorf("representation rebuilds %v at column %d, want %v", x, j, v[j])
+		}
+	}
+	return nil
+}
+
+// Differential property against the exact big.Rat rank, on random 0/1
+// matrices fed in random order: acceptance decisions, member numbering and
+// dependent supports of Add, then Dependent and Representation on fresh
+// random integer vectors.
 func TestSparseBasisMatchesDense(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 101))
 		rows := 1 + rng.IntN(20)
 		cols := 1 + rng.IntN(15)
 		m := randomBinaryMatrix(rng, rows, cols, 0.25+rng.Float64()*0.4)
-		dense := NewBasis(cols)
-		sparse := NewSparseBasis(cols)
+		b := NewSparseBasis(cols)
+		ref := &exactRef{}
 		for _, i := range rng.Perm(rows) {
-			da, dm, ds := dense.Add(m.Row(i))
-			sa, sm, ss := sparse.Add(m.Row(i))
-			if da != sa || dm != sm {
+			added, member, support := b.Add(m.Row(i))
+			if err := ref.checkAdd(m.Row(i), added, member, support); err != nil {
+				t.Logf("seed %d row %d: %v", seed, i, err)
 				return false
-			}
-			if len(ds) != len(ss) {
-				return false
-			}
-			for k := range ds {
-				if ds[k] != ss[k] {
-					return false
-				}
 			}
 		}
-		if dense.Rank() != sparse.Rank() {
+		if b.Rank() != RankExact(m) {
+			t.Logf("seed %d: rank %d, exact %d", seed, b.Rank(), RankExact(m))
 			return false
 		}
-		// Probe Dependent and Representation on fresh random vectors too.
 		for trial := 0; trial < 5; trial++ {
 			v := make([]float64, cols)
 			for j := range v {
@@ -43,26 +126,20 @@ func TestSparseBasisMatchesDense(t *testing.T) {
 					v[j] = float64(1 + rng.IntN(3))
 				}
 			}
-			dd, dsup := dense.Dependent(v)
-			sd, ssup := sparse.Dependent(v)
-			if dd != sd || len(dsup) != len(ssup) {
+			dep, support := b.Dependent(v)
+			if err := ref.checkDependent(v, dep, support); err != nil {
+				t.Logf("seed %d probe %v: %v", seed, v, err)
 				return false
 			}
-			for k := range dsup {
-				if dsup[k] != ssup[k] {
+			coeffs, ok := b.Representation(v)
+			if ok != dep {
+				t.Logf("seed %d probe %v: Representation ok=%v, Dependent=%v", seed, v, ok, dep)
+				return false
+			}
+			if ok {
+				if err := ref.checkRepresentation(v, coeffs); err != nil {
+					t.Logf("seed %d probe %v: %v", seed, v, err)
 					return false
-				}
-			}
-			dc, dok := dense.Representation(v)
-			sc, sok := sparse.Representation(v)
-			if dok != sok {
-				return false
-			}
-			if dok {
-				for k := range dc {
-					if diff := dc[k] - sc[k]; diff > 1e-9 || diff < -1e-9 {
-						return false
-					}
 				}
 			}
 		}
@@ -149,10 +226,11 @@ func TestSparseRowAxpy(t *testing.T) {
 }
 
 func TestSparseBasisRepeatedUse(t *testing.T) {
-	// Interleave Adds and Dependents heavily to stress scratch reuse.
+	// Interleave Adds and Dependents heavily to stress scratch reuse,
+	// checking every answer against the exact rank.
 	rng := rand.New(rand.NewPCG(3, 3))
 	b := NewSparseBasis(40)
-	ref := NewBasis(40)
+	ref := &exactRef{}
 	for i := 0; i < 200; i++ {
 		v := make([]float64, 40)
 		for j := range v {
@@ -161,21 +239,26 @@ func TestSparseBasisRepeatedUse(t *testing.T) {
 			}
 		}
 		if i%3 == 0 {
-			sd, _ := b.Dependent(v)
-			dd, _ := ref.Dependent(v)
-			if sd != dd {
-				t.Fatalf("iteration %d: Dependent mismatch", i)
+			dep, support := b.Dependent(v)
+			if err := ref.checkDependent(v, dep, support); err != nil {
+				t.Fatalf("iteration %d: %v", i, err)
+			}
+			if coeffs, ok := b.Representation(v); ok != dep {
+				t.Fatalf("iteration %d: Representation ok=%v, Dependent=%v", i, ok, dep)
+			} else if ok {
+				if err := ref.checkRepresentation(v, coeffs); err != nil {
+					t.Fatalf("iteration %d: %v", i, err)
+				}
 			}
 			continue
 		}
-		sa, _, _ := b.Add(v)
-		da, _, _ := ref.Add(v)
-		if sa != da {
-			t.Fatalf("iteration %d: Add mismatch", i)
+		added, member, support := b.Add(v)
+		if err := ref.checkAdd(v, added, member, support); err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
-	if b.Rank() != ref.Rank() {
-		t.Fatalf("ranks diverged: %d vs %d", b.Rank(), ref.Rank())
+	if b.Rank() != len(ref.members) {
+		t.Fatalf("rank %d, exact reference accepted %d", b.Rank(), len(ref.members))
 	}
 }
 
@@ -200,31 +283,13 @@ func BenchmarkSparseBasisAddPathLike(b *testing.B) {
 	}
 }
 
-func BenchmarkDenseBasisAddPathLike(b *testing.B) {
-	rng := rand.New(rand.NewPCG(5, 5))
-	const dim = 972
-	rowsData := make([][]float64, 800)
-	for i := range rowsData {
-		v := make([]float64, dim)
-		for k := 0; k < 6; k++ {
-			v[rng.IntN(dim)] = 1
-		}
-		rowsData[i] = v
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		basis := NewBasis(dim)
-		for _, v := range rowsData {
-			basis.Add(v)
-		}
-	}
-}
-
 // The per-operation factor and coefficient scratch of a support-tracking
 // basis is pre-sized to dim at construction, so Add never pays a growth
 // reallocation when the member count crosses a previous capacity (the
 // regression this pins down), and warm DependentScratch probes allocate
-// nothing at all.
+// nothing at all. Clones keep their source's mode: a tracking clone keeps
+// the pre-sized scratch, a rank-only clone (one per Monte Carlo class
+// split) allocates none.
 func TestSparseBasisScratchPresized(t *testing.T) {
 	dim := 48
 	b := NewSparseBasis(dim)
@@ -243,8 +308,17 @@ func TestSparseBasisScratchPresized(t *testing.T) {
 			t.Fatalf("after %d adds scratch regrew to %d/%d", j+1, cap(b.factorsScratch), cap(b.coeffsScratch))
 		}
 	}
-	if ro := NewSparseBasisRankOnly(dim); cap(ro.factorsScratch) != 0 || cap(ro.coeffsScratch) != 0 {
+	if c := b.Clone(); cap(c.factorsScratch) != dim || cap(c.coeffsScratch) != dim {
+		t.Fatalf("tracking clone scratch caps = %d/%d, want %d", cap(c.factorsScratch), cap(c.coeffsScratch), dim)
+	}
+	ro := NewSparseBasisRankOnly(dim)
+	if cap(ro.factorsScratch) != 0 || cap(ro.coeffsScratch) != 0 {
 		t.Fatal("rank-only basis pays for scratch it never uses")
+	}
+	v[0] = 1
+	ro.Add(v)
+	if c := ro.Clone(); cap(c.factorsScratch) != 0 || cap(c.coeffsScratch) != 0 {
+		t.Fatalf("rank-only clone scratch caps = %d/%d, want 0", cap(c.factorsScratch), cap(c.coeffsScratch))
 	}
 }
 

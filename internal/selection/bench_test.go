@@ -74,7 +74,7 @@ func BenchmarkMatRoMe(b *testing.B) {
 	budget := pm.Rank()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MatRoMe(pm, ea, budget, MatRoMeOptions{}); err != nil {
+		if _, err := MatRoMe(pm, ea, budget); err != nil {
 			b.Fatal(err)
 		}
 	}

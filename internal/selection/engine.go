@@ -283,7 +283,7 @@ func (j *selJob) Run(ctx context.Context, reg *obs.Registry) (engine.Result, err
 		rng := stats.NewRNG(j.seed, mcStream)
 		res, err = RoMe(pm, j.costs, j.budget, er.NewMonteCarloInc(pm, sampler, j.mcRuns, rng), opts)
 	case AlgMatRoMe:
-		res, err = MatRoMe(pm, er.Availabilities(pm, model), int(j.budget), MatRoMeOptions{})
+		res, err = MatRoMe(pm, er.Availabilities(pm, model), int(j.budget))
 	case AlgSelectPath:
 		res, err = SelectPathBudgeted(pm, j.costs, j.budget)
 	default:

@@ -4,20 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"robusttomo/internal/linalg"
 	"robusttomo/internal/tomo"
 )
-
-// MatRoMeOptions tunes the matroid-constrained variant.
-type MatRoMeOptions struct {
-	// UseSVD switches the independence test to the Jacobi SVD rank oracle
-	// (the paper's footnote 3: MatRoMe uses SVD, which is more accurate
-	// than Cholesky). The SVD path is O(k²·|E|) per acceptance and is
-	// meant for small/medium instances; the default incremental-basis test
-	// gives identical answers on 0/1 path matrices at a fraction of the
-	// cost.
-	UseSVD bool
-}
 
 // MatRoMe solves the paper's Section IV-B setting: unit path costs and a
 // linear-independence constraint, with the budget counting paths. Because
@@ -25,8 +13,13 @@ type MatRoMeOptions struct {
 // scans candidates in decreasing expected availability and keeps those
 // independent of the picks so far is optimal (Theorem 9).
 //
+// The independence test is rank over the reals, on a rank-only SparseBasis.
+// The paper's footnote 3 computes that rank by singular value
+// decomposition; it is only a rank, so any exact rank test accepts the
+// same paths.
+//
 // availability must hold EA(q) (or any modular weight) per candidate.
-func MatRoMe(pm *tomo.PathMatrix, availability []float64, budget int, opts MatRoMeOptions) (Result, error) {
+func MatRoMe(pm *tomo.PathMatrix, availability []float64, budget int) (Result, error) {
 	n := pm.NumPaths()
 	if len(availability) != n {
 		return Result{}, fmt.Errorf("selection: %d availabilities for %d paths", len(availability), n)
@@ -46,28 +39,14 @@ func MatRoMe(pm *tomo.PathMatrix, availability []float64, budget int, opts MatRo
 	})
 
 	res := Result{}
-	basis := linalg.NewBasis(pm.NumLinks())
-	var selectedRows []int
+	basis := pm.NewRankBasis()
 	for _, q := range order {
 		if len(res.Selected) >= budget {
 			break
 		}
 		res.GainEvaluations++
-		if opts.UseSVD {
-			trial := append(append([]int{}, selectedRows...), q)
-			sub := pm.Matrix().SelectRows(trial)
-			if linalg.RankSVD(sub, linalg.DefaultTol) != len(trial) {
-				continue
-			}
-			selectedRows = trial
-			// Keep the basis in sync so both paths share bookkeeping.
-			basis.MustAdd(pm.Row(q))
-		} else {
-			added, _, _ := basis.Add(pm.Row(q))
-			if !added {
-				continue
-			}
-			selectedRows = append(selectedRows, q)
+		if added, _, _ := basis.Add(pm.Row(q)); !added {
+			continue
 		}
 		res.Selected = append(res.Selected, q)
 		res.Cost++

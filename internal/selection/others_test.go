@@ -3,6 +3,7 @@ package selection
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -15,10 +16,10 @@ import (
 
 func TestMatRoMeValidation(t *testing.T) {
 	pm, _ := randomInstance(rand.New(rand.NewPCG(1, 1)), 4, 3)
-	if _, err := MatRoMe(pm, []float64{1}, 2, MatRoMeOptions{}); err == nil {
+	if _, err := MatRoMe(pm, []float64{1}, 2); err == nil {
 		t.Fatal("availability length mismatch accepted")
 	}
-	if _, err := MatRoMe(pm, []float64{1, 1, 1}, -1, MatRoMeOptions{}); err == nil {
+	if _, err := MatRoMe(pm, []float64{1, 1, 1}, -1); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 }
@@ -29,7 +30,7 @@ func TestMatRoMeSelectsIndependentSet(t *testing.T) {
 		pm, model := randomInstance(rng, 8, 12)
 		ea := er.Availabilities(pm, model)
 		budget := pm.Rank()
-		res, err := MatRoMe(pm, ea, budget, MatRoMeOptions{})
+		res, err := MatRoMe(pm, ea, budget)
 		if err != nil {
 			return false
 		}
@@ -63,7 +64,7 @@ func TestMatRoMeOptimal(t *testing.T) {
 		pm, model := randomInstance(rng, 6, 8)
 		ea := er.Availabilities(pm, model)
 		budget := 3
-		res, err := MatRoMe(pm, ea, budget, MatRoMeOptions{})
+		res, err := MatRoMe(pm, ea, budget)
 		if err != nil {
 			return false
 		}
@@ -93,25 +94,43 @@ func TestMatRoMeOptimal(t *testing.T) {
 	}
 }
 
-func TestMatRoMeSVDAgreesWithBasis(t *testing.T) {
+// exactGreedy is MatRoMe's scan with RankExact as the independence test:
+// candidates in decreasing weight (ties by index), each kept when the exact
+// rank of the picks rises. It reports the picks and the candidates tested.
+func exactGreedy(pm *tomo.PathMatrix, weight []float64, budget int) (picks []int, evals int) {
+	order := make([]int, pm.NumPaths())
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return weight[order[a]] > weight[order[b]] })
+	for _, q := range order {
+		if len(picks) >= budget {
+			break
+		}
+		evals++
+		if linalg.RankExact(pm.Matrix().SelectRows(append(picks[:len(picks):len(picks)], q))) > len(picks) {
+			picks = append(picks, q)
+		}
+	}
+	return picks, evals
+}
+
+func TestMatRoMeAgreesWithExactGreedy(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 41))
 		pm, model := randomInstance(rng, 7, 9)
 		ea := er.Availabilities(pm, model)
 		budget := pm.Rank()
-		fast, err := MatRoMe(pm, ea, budget, MatRoMeOptions{})
+		res, err := MatRoMe(pm, ea, budget)
 		if err != nil {
 			return false
 		}
-		svd, err := MatRoMe(pm, ea, budget, MatRoMeOptions{UseSVD: true})
-		if err != nil {
+		picks, evals := exactGreedy(pm, ea, budget)
+		if res.GainEvaluations != evals || len(res.Selected) != len(picks) {
 			return false
 		}
-		if len(fast.Selected) != len(svd.Selected) {
-			return false
-		}
-		for i := range fast.Selected {
-			if fast.Selected[i] != svd.Selected[i] {
+		for i := range picks {
+			if res.Selected[i] != picks[i] {
 				return false
 			}
 		}

@@ -154,29 +154,3 @@ func TestRoMeParallelDeterministic(t *testing.T) {
 		t.Fatalf("speculative evaluations diverged: %d vs %d", r1.SpeculativeEvaluations, r2.SpeculativeEvaluations)
 	}
 }
-
-// The GF(2)-kernel oracle must drive MonteRoMe to the exact selection its
-// own serial reference produces: same field, same panel, same greedy
-// trajectory. (GF(2) and float64 legitimately select different paths — the
-// fields rank differently on shortest-path families; see er.Kernel — so the
-// bit-identity contract is per-kernel, against that kernel's reference.)
-func TestMonteRoMeGF2KernelMatchesSerialOracle(t *testing.T) {
-	for _, seed := range []uint64{2, 7} {
-		pm, model, costs := rocketfuelSelection(t, 100, seed)
-		budget := 20.0
-		kernel := er.NewMonteCarloIncKernel(pm, model, 130, rand.New(rand.NewPCG(seed, 3)), er.KernelGF2)
-		serial := er.NewMonteCarloIncSerialKernel(pm, model, 130, rand.New(rand.NewPCG(seed, 3)), er.KernelGF2)
-		resK, err := RoMe(pm, costs, budget, kernel, NewOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		resS, err := RoMe(pm, costs, budget, serial, Options{Lazy: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, "GF2 kernel vs serial oracle", resK, resS)
-		if kernel.Value() != serial.Value() {
-			t.Fatalf("GF2 oracle values diverged: %v vs %v", kernel.Value(), serial.Value())
-		}
-	}
-}

@@ -27,17 +27,8 @@ type PathMatrix struct {
 	// RankAndIdentifiable / SelectBasisIndices calls, so evaluation loops
 	// that rank thousands of row subsets reuse warmed-up storage instead of
 	// allocating a fresh basis per call. Safe under concurrent trials: the
-	// pool hands each goroutine its own basis. gf2Pool does the same for
-	// the GF(2) rank path.
+	// pool hands each goroutine its own basis.
 	basisPool sync.Pool
-	gf2Pool   sync.Pool
-
-	// Bit-packed 0/1 incidence rows, built lazily on first PackedRow call:
-	// one slab holds every row, so the GF(2) kernel consumers (er Monte
-	// Carlo oracles, RankOfGF2) share a single packing pass per matrix.
-	packedOnce  sync.Once
-	packedRows  []uint64
-	packedWords int
 }
 
 // NewPathMatrix builds A from candidate paths over a network with the given
@@ -132,82 +123,6 @@ func (pm *PathMatrix) acquireBasis() *linalg.SparseBasis {
 		return b
 	}
 	return pm.NewRankBasis()
-}
-
-// PackedRow returns the 0/1 incidence row of path i packed into bits (a
-// live view; callers must not modify it), for the GF(2) rank kernel. The
-// packed slab is built once per matrix on first use; concurrent callers
-// are safe.
-func (pm *PathMatrix) PackedRow(i int) []uint64 {
-	pm.packedOnce.Do(pm.buildPackedRows)
-	off := i * pm.packedWords
-	return pm.packedRows[off : off+pm.packedWords : off+pm.packedWords]
-}
-
-// PackedWords returns the word count of each packed row.
-func (pm *PathMatrix) PackedWords() int {
-	pm.packedOnce.Do(pm.buildPackedRows)
-	return pm.packedWords
-}
-
-func (pm *PathMatrix) buildPackedRows() {
-	pm.packedWords = linalg.GF2Words(pm.links)
-	pm.packedRows = make([]uint64, len(pm.paths)*pm.packedWords)
-	for i, p := range pm.paths {
-		row := pm.packedRows[i*pm.packedWords:]
-		for _, e := range p.Edges {
-			row[int(e)>>6] |= 1 << (uint(e) & 63)
-		}
-	}
-}
-
-// NewGF2RankBasis returns an empty GF(2) elimination basis sized for this
-// matrix, for callers that rank many subsets over the XOR kernel and want
-// to reuse one basis (see RankOfWithGF2).
-func (pm *PathMatrix) NewGF2RankBasis() *linalg.GF2Basis {
-	return linalg.NewGF2Basis(pm.links)
-}
-
-// RankOfGF2 is RankOf over GF(2): the rank of the sub-matrix formed by the
-// given path indices under XOR arithmetic. For 0/1 matrices the GF(2) rank
-// never exceeds the rational rank and can undercount it (DESIGN.md §13);
-// kernel-switching consumers carry differential tests against RankOf on
-// their instances. The elimination basis comes from a pool, so looping
-// callers pay no per-call allocation.
-func (pm *PathMatrix) RankOfGF2(idx []int) int {
-	if len(idx) == 0 {
-		return 0
-	}
-	basis, ok := pm.gf2Pool.Get().(*linalg.GF2Basis)
-	if !ok {
-		basis = pm.NewGF2RankBasis()
-	}
-	r := pm.RankOfWithGF2(idx, basis)
-	pm.gf2Pool.Put(basis)
-	return r
-}
-
-// RankOfWithGF2 is RankOfGF2 against a caller-held basis (obtained from
-// NewGF2RankBasis), which it resets before use: the steady state performs
-// no allocation.
-func (pm *PathMatrix) RankOfWithGF2(idx []int, basis *linalg.GF2Basis) int {
-	basis.Reset()
-	for _, i := range idx {
-		basis.AddPacked(pm.PackedRow(i))
-		if basis.Rank() == pm.links {
-			break // full column rank; nothing more to gain
-		}
-	}
-	return basis.Rank()
-}
-
-// RankOfKernel dispatches a subset rank to the selected kernel: the GF(2)
-// bit-packed path or the float64 sparse elimination.
-func (pm *PathMatrix) RankOfKernel(idx []int, k linalg.Kernel) int {
-	if k == linalg.KernelGF2 {
-		return pm.RankOfGF2(idx)
-	}
-	return pm.RankOf(idx)
 }
 
 // Available reports whether path i survives the scenario (none of its

@@ -125,15 +125,8 @@ type (
 	SelectionResult = selection.Result
 	// SelectionOptions tunes the RoMe greedy.
 	SelectionOptions = selection.Options
-	// MatRoMeOptions tunes the matroid-constrained variant.
-	MatRoMeOptions = selection.MatRoMeOptions
 	// EROracle is an incremental expected-rank oracle consumed by RoMe.
 	EROracle = er.Incremental
-	// RankKernel selects the rank arithmetic of the Monte Carlo oracles:
-	// RankKernelFloat64 (the default, exact for the paper's ER metric) or
-	// RankKernelGF2 (packed Boolean rank; see er.Kernel for the semantics
-	// gap).
-	RankKernel = er.Kernel
 	// Learner is the LSR/LLR reinforcement-learning path selector.
 	Learner = bandit.LSR
 	// EpsilonGreedyLearner is the undirected-exploration baseline learner.
@@ -223,23 +216,12 @@ var (
 	ScenarioSourceNames = failure.SourceNames
 )
 
-// Rank kernels for the Monte Carlo oracles.
-const (
-	RankKernelGF2     = er.KernelGF2
-	RankKernelFloat64 = er.KernelFloat64
-)
-
 // Expected-rank oracles.
 var (
 	// NewProbBoundOracle is the paper's efficient Eq. 7 bound (ProbRoMe).
 	NewProbBoundOracle = er.NewProbBoundInc
 	// NewMonteCarloOracle estimates ER over sampled scenarios (MonteRoMe).
 	NewMonteCarloOracle = er.NewMonteCarloInc
-	// NewMonteCarloOracleKernel is NewMonteCarloOracle on an explicit rank
-	// kernel (RankKernelGF2 or RankKernelFloat64).
-	NewMonteCarloOracleKernel = er.NewMonteCarloIncKernel
-	// MonteCarloERKernel is MonteCarloER on an explicit rank kernel.
-	MonteCarloERKernel = er.MonteCarloKernel
 	// NewThetaBoundOracle is the Eq. 11 independence-assumption bound used
 	// by the learner.
 	NewThetaBoundOracle = er.NewThetaBoundInc
