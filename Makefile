@@ -106,8 +106,8 @@ endef
 
 # CI allocation gate: the steady-state zero-allocation contracts asserted
 # with testing.AllocsPerRun — the Monte Carlo incremental oracle (Gain,
-# GainBatch, splitless Add) and the sparse-basis scratch pre-sizing and
-# alloc-free probes. Gated, not just documented.
+# splitless Add) and the sparse-basis scratch pre-sizing and alloc-free
+# probes. Gated, not just documented.
 alloc-gate:
 	$(call gate-run,./internal/er/,TestMonteCarloIncSteadyStateZeroAlloc)
 	$(call gate-run,./internal/linalg/,TestSparseBasisScratchPresized|TestSparseBasisDependentScratchAllocFree)

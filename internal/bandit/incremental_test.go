@@ -39,9 +39,10 @@ func randomLearnerInstance(rng *rand.Rand, nLinks, nPaths int) (*tomo.PathMatrix
 }
 
 // The epoch-incremental engine must be a pure performance change: against
-// identically seeded environments, the fresh-per-epoch baseline and the
-// incremental engine produce bit-identical action sequences, rewards and
-// estimates over a horizon long past initialization.
+// identically seeded environments, the rebuild-every-epoch reference
+// (freshLSR) and the incremental engine produce bit-identical action
+// sequences, rewards and estimates over a horizon long past
+// initialization.
 func TestLSRFreshMatchesIncremental(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 41} {
 		rng := stats.NewRNG(seed, 90)
@@ -56,10 +57,11 @@ func TestLSRFreshMatchesIncremental(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := New(pm, costs, budget, Options{FreshEpoch: true})
+		ref, err := New(pm, costs, budget, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		fresh := freshLSR{ref}
 		envInc := NewFailureEnv(pm, model, stats.NewRNG(seed, 91))
 		envFresh := NewFailureEnv(pm, model, stats.NewRNG(seed, 91))
 

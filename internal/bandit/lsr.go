@@ -44,13 +44,6 @@ type Options struct {
 	// width. Zero derives it from the budget and cheapest path (or
 	// MatroidBudget in matroid mode).
 	L int
-	// FreshEpoch disables the epoch-incremental engine: every epoch
-	// rebuilds its oracle, greedy workspace and rank basis from scratch,
-	// as the original implementation did. Action sequences and rewards are
-	// bit-identical in both modes (see TestLSRFreshMatchesIncremental);
-	// the flag exists as the differential/benchmark baseline for the
-	// steady-state allocation win.
-	FreshEpoch bool
 	// Observer, when non-nil, receives learner metrics (epoch counts,
 	// rewards, UCB width spread, exploration picks) and is forwarded to the
 	// inner RoMe maximization. Instrumentation reads state the learner
@@ -77,12 +70,13 @@ type LSR struct {
 
 	m *banditMetrics
 
-	// Epoch-incremental workspace (unused when opts.FreshEpoch). Only
-	// played paths dirty μ/width, so per-epoch state is rebuilt from these
-	// persistent buffers with O(played paths) allocation instead of O(n):
-	// the UCB vector lands in ucbBuf, the oracle is Reset rather than
-	// rebuilt, RoMe reuses romeScratch, and Observe ranks the surviving
-	// subset in a private basis via RankOfWith.
+	// Epoch-incremental workspace. Only played paths dirty μ/width, so
+	// per-epoch state is rebuilt from these persistent buffers with
+	// O(played paths) allocation instead of O(n): the UCB vector lands in
+	// ucbBuf, the oracle is Reset rather than rebuilt, RoMe reuses
+	// romeScratch, and Observe ranks the surviving subset in a private
+	// basis via RankOfWith. The rebuild-every-epoch reference in the tests
+	// (TestLSRFreshMatchesIncremental) pins the action sequence.
 	ucbBuf      []float64
 	oracle      *er.ThetaBoundInc
 	romeScratch *selection.Scratch
@@ -203,16 +197,10 @@ func (b *LSR) syncDerived() {
 	}
 }
 
-// ucb returns θ̂ + C per Eq. 10, with unobserved paths treated as maximally
-// optimistic. The width is factored as sqrt((L+1)/count_i)·sqrt(ln n) so the
-// per-path part updates only on observation and the epoch part is one
-// scalar — both modes (fresh and incremental) evaluate this same factored
-// expression, which keeps their float results bit-identical.
-func (b *LSR) ucb() []float64 {
-	return b.ucbInto(make([]float64, len(b.sumX)))
-}
-
-// ucbInto is ucb writing into out (len = NumPaths), allocating nothing.
+// ucbInto writes θ̂ + C per Eq. 10 into out (len = NumPaths), with
+// unobserved paths treated as maximally optimistic, allocating nothing. The
+// width is factored as sqrt((L+1)/count_i)·sqrt(ln n) so the per-path part
+// updates only on observation and the epoch part is one scalar.
 func (b *LSR) ucbInto(out []float64) []float64 {
 	n := float64(b.epoch)
 	if n < 2 {
@@ -246,37 +234,30 @@ func (b *LSR) unobserved() int {
 // initialization, an action covering a not-yet-observed path; afterwards
 // the RoMe maximizer of ER(R; θ̂ + C).
 func (b *LSR) SelectAction() ([]int, error) {
+	forced := b.forcedPath()
 	b.recordUCBSpread()
-	var theta []float64
-	if b.opts.FreshEpoch {
-		theta = b.ucb()
-	} else {
-		b.ucbBuf = growFloats(b.ucbBuf, len(b.sumX))
-		theta = b.ucbInto(b.ucbBuf)
-	}
-	if forced := b.unobserved(); forced >= 0 {
-		return b.actionWith(forced, theta)
-	}
-	return b.maximize(theta, -1)
+	b.ucbBuf = growFloats(b.ucbBuf, len(b.sumX))
+	return b.maximize(b.ucbInto(b.ucbBuf), forced)
 }
 
-// actionWith builds an action guaranteed to contain the forced path (the
-// initialization phase of Algorithm 2), filling the rest greedily.
-func (b *LSR) actionWith(forced int, theta []float64) ([]int, error) {
-	if !b.opts.Matroid && b.costs[forced] > b.budget {
-		// The forced path alone violates the budget: it can never be
-		// probed, so mark it observed-unavailable to avoid deadlock.
-		b.count[forced] = 1
-		b.sumX[forced] = 0
-		b.mu[forced] = 0
-		b.width[forced] = math.Sqrt(float64(b.l + 1))
-		return b.SelectAction()
+// forcedPath returns the path the initialization phase of Algorithm 2
+// forces into the next action — the lowest-index never-observed path — or
+// -1 once every path has been observed. A path whose cost alone exceeds the
+// budget can never be probed, so it is marked observed-unavailable instead
+// of forced, to avoid deadlock.
+func (b *LSR) forcedPath() int {
+	for {
+		q := b.unobserved()
+		if q < 0 || b.opts.Matroid || b.costs[q] <= b.budget {
+			return q
+		}
+		b.count[q] = 1
+		b.sumX[q] = 0
+		b.mu[q] = 0
+		b.width[q] = math.Sqrt(float64(b.l + 1))
 	}
-	return b.maximize(theta, forced)
 }
 
-// maximize runs the paper's inner optimization with an optional forced
-// first pick.
 // recordUCBSpread publishes the spread (max − min) of the Eq. 10
 // confidence widths over observed paths. Only computed when the gauge is
 // installed, so the unobserved learner pays nothing here.
@@ -308,51 +289,37 @@ func (b *LSR) recordUCBSpread() {
 	b.m.ucbSpread.Set(hi - lo)
 }
 
+// maximize runs the paper's inner optimization with an optional forced
+// first pick.
 func (b *LSR) maximize(theta []float64, forced int) ([]int, error) {
 	if forced >= 0 {
 		b.m.explorePicks.Inc()
 	}
 	if b.opts.Matroid {
-		res, err := b.matroidMaximize(theta, forced)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
+		return b.matroidMaximize(theta, forced)
 	}
-	var oracle *er.ThetaBoundInc
+	if b.oracle == nil {
+		b.oracle = er.NewThetaBoundInc(b.pm, theta)
+		b.romeScratch = &selection.Scratch{}
+	} else {
+		b.oracle.Reset(theta)
+	}
 	opts := selection.NewOptions()
 	opts.Observer = b.opts.Observer
-	if b.opts.FreshEpoch {
-		oracle = er.NewThetaBoundInc(b.pm, theta)
-	} else {
-		if b.oracle == nil {
-			b.oracle = er.NewThetaBoundInc(b.pm, theta)
-		} else {
-			b.oracle.Reset(theta)
-		}
-		oracle = b.oracle
-		if b.romeScratch == nil {
-			b.romeScratch = &selection.Scratch{}
-		}
-		opts.Scratch = b.romeScratch
-	}
+	opts.Scratch = b.romeScratch
 	budget := b.budget
 	var pre []int
 	if forced >= 0 {
-		oracle.Add(forced)
+		b.oracle.Add(forced)
 		budget -= b.costs[forced]
 		pre = []int{forced}
 	}
-	res, err := selection.RoMe(b.pm, b.costs, budget, oracle, opts)
+	res, err := selection.RoMe(b.pm, b.costs, budget, b.oracle, opts)
 	if err != nil {
 		return nil, err
 	}
-	action := append(pre, res.Selected...)
-	if b.opts.FreshEpoch {
-		return dedupe(action), nil
-	}
 	b.seenBuf = growSeen(b.seenBuf, b.pm.NumPaths())
-	return dedupeWith(action, b.seenBuf), nil
+	return dedupeWith(append(pre, res.Selected...), b.seenBuf), nil
 }
 
 func (b *LSR) matroidMaximize(theta []float64, forced int) ([]int, error) {
@@ -375,21 +342,10 @@ func (b *LSR) matroidMaximize(theta []float64, forced int) ([]int, error) {
 	return res.Selected, nil
 }
 
-func dedupe(idx []int) []int {
-	seen := make(map[int]bool, len(idx))
-	out := idx[:0]
-	for _, q := range idx {
-		if !seen[q] {
-			seen[q] = true
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// dedupeWith is dedupe against a persistent seen buffer (len ≥ NumPaths,
-// all false on entry, restored to all false before return), so the
-// steady-state epoch skips the map allocation.
+// dedupeWith drops repeated paths from idx in place, keeping first
+// occurrences in order. seen is a persistent buffer (len ≥ NumPaths, all
+// false on entry, restored to all false before return), so the
+// steady-state epoch allocates no set.
 func dedupeWith(idx []int, seen []bool) []int {
 	out := idx[:0]
 	for _, q := range idx {
@@ -428,9 +384,6 @@ func (b *LSR) Observe(action []int, avail []bool) (reward int, err error) {
 		return 0, fmt.Errorf("bandit: availability vector of %d for %d paths", len(avail), b.pm.NumPaths())
 	}
 	up := b.upBuf[:0]
-	if b.opts.FreshEpoch {
-		up = nil
-	}
 	for _, q := range action {
 		if q < 0 || q >= b.pm.NumPaths() {
 			return 0, fmt.Errorf("bandit: action path %d out of range", q)
@@ -442,15 +395,11 @@ func (b *LSR) Observe(action []int, avail []bool) (reward int, err error) {
 		}
 		b.recordObs(q, x)
 	}
-	if b.opts.FreshEpoch {
-		reward = b.pm.RankOf(up)
-	} else {
-		b.upBuf = up
-		if b.rankBasis == nil {
-			b.rankBasis = b.pm.NewRankBasis()
-		}
-		reward = b.pm.RankOfWith(up, b.rankBasis)
+	b.upBuf = up
+	if b.rankBasis == nil {
+		b.rankBasis = b.pm.NewRankBasis()
 	}
+	reward = b.pm.RankOfWith(up, b.rankBasis)
 	b.cumulativeReward += float64(reward)
 	b.epoch++
 	b.m.epochs.Inc()

@@ -322,19 +322,6 @@ func TestRegretSublinear(t *testing.T) {
 	}
 }
 
-func TestDedupe(t *testing.T) {
-	got := dedupe([]int{3, 1, 3, 2, 1})
-	want := []int{3, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("dedupe = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dedupe = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestThetaEnvFrequencies(t *testing.T) {
 	env := NewThetaEnv([]float64{0.25}, stats.NewRNG(8, 8))
 	up := 0

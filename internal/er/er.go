@@ -36,16 +36,6 @@ type Incremental interface {
 	Value() float64
 }
 
-// BatchGainer is an optional extension of Incremental for oracles that can
-// evaluate several candidates' marginal gains concurrently. GainBatch must
-// store exactly Gain(paths[i]) into out[i] (same committed set, identical
-// bits) — the RoMe greedy relies on that equivalence when it fans the
-// initial sweep and lazy stale-refresh waves out over a batch.
-type BatchGainer interface {
-	Incremental
-	GainBatch(paths []int, out []float64)
-}
-
 // InitialGainer is an optional extension of Incremental for oracles that
 // can produce every candidate's marginal gain against the *empty* committed
 // set in one O(n) pass, without touching the elimination basis. The greedy's

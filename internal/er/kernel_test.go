@@ -55,9 +55,9 @@ func rocketfuelInstance(tb testing.TB, candidates int, seed uint64) (*tomo.PathM
 	return pm, model
 }
 
-// The bit-packed parallel oracle must be bit-identical to the serial
-// reference: every Gain, every Add delta and the running Value, across a
-// growing committed set on Rocketfuel-subgraph instances.
+// The bit-packed oracle must be bit-identical to the serial reference:
+// every Gain, every Add delta and the running Value, across a growing
+// committed set on Rocketfuel-subgraph instances.
 func TestMonteCarloIncMatchesSerial(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 42} {
 		pm, model := rocketfuelInstance(t, 120, seed)
@@ -69,21 +69,11 @@ func TestMonteCarloIncMatchesSerial(t *testing.T) {
 		}
 
 		n := pm.NumPaths()
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		batch := make([]float64, n)
 		pick := stats.NewRNG(seed, 99)
 		for round := 0; round < 8; round++ {
-			kernel.GainBatch(all, batch)
 			for q := 0; q < n; q++ {
-				want := serial.Gain(q)
-				if got := kernel.Gain(q); got != want {
+				if got, want := kernel.Gain(q), serial.Gain(q); got != want {
 					t.Fatalf("seed %d round %d: Gain(%d) = %v, serial %v", seed, round, q, got, want)
-				}
-				if batch[q] != want {
-					t.Fatalf("seed %d round %d: GainBatch[%d] = %v, serial %v", seed, round, q, batch[q], want)
 				}
 			}
 			q := pick.IntN(n)
@@ -116,22 +106,18 @@ func TestMonteCarloMatchesSerial(t *testing.T) {
 }
 
 // Two oracles built from the same seed must evolve identically through an
-// identical Gain/GainBatch/Add schedule — the determinism the sharded
-// kernel guarantees via fixed ranges and integer fold order. Run under
-// -race in CI to also prove the sharding is data-race-free.
+// identical Gain/Add schedule — the determinism the sharded mask
+// precompute guarantees via fixed per-path slots. Run under -race in CI to
+// also prove the sharding is data-race-free.
 func TestMonteCarloIncDeterministic(t *testing.T) {
 	pm, model := rocketfuelInstance(t, 100, 7)
 	run := func() (values []float64, gains []float64) {
 		mc := NewMonteCarloInc(pm, model, 256, rand.New(rand.NewPCG(7, 7)))
 		n := pm.NumPaths()
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		out := make([]float64, n)
 		for round := 0; round < 6; round++ {
-			mc.GainBatch(all, out)
-			gains = append(gains, out...)
+			for q := 0; q < n; q++ {
+				gains = append(gains, mc.Gain(q))
+			}
 			mc.Add((round * 13) % n)
 			values = append(values, mc.Value())
 		}
@@ -151,30 +137,25 @@ func TestMonteCarloIncDeterministic(t *testing.T) {
 	}
 }
 
-// The steady state of MonteCarloInc — Gain, GainBatch and the Add of an
+// The steady state of MonteCarloInc — Gain and the Add of an
 // already-committed path (no class splits) — must allocate nothing.
 // Splitting Adds may allocate (new class mask + basis clone); everything
 // else runs off warm slabs.
 func TestMonteCarloIncSteadyStateZeroAlloc(t *testing.T) {
 	pm, model := rocketfuelInstance(t, 120, 2)
-	all := idxUpTo(pm.NumPaths())
-	out := make([]float64, len(all))
 	mc := NewMonteCarloInc(pm, model, 256, rand.New(rand.NewPCG(4, 4)))
 	// Warm up: commit a few rows (splits allocate here, not later) and
 	// touch every code path once.
 	for q := 0; q < 6; q++ {
 		mc.Add(q * 7)
 	}
-	mc.GainBatch(all, out)
+	for q := 0; q < pm.NumPaths(); q++ {
+		mc.Gain(q)
+	}
 	if avg := testing.AllocsPerRun(100, func() {
 		mc.Gain(11)
 	}); avg != 0 {
 		t.Errorf("Gain allocates %.2f allocs/op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		mc.GainBatch(all, out)
-	}); avg != 0 {
-		t.Errorf("GainBatch allocates %.2f allocs/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
 		mc.Add(7) // already committed: every class is homogeneous, no split

@@ -130,19 +130,19 @@ func MonteCarlo(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rn
 // against the candidate's survival mask — no per-scenario work at all — and
 // each class with survivors is probed once against its basis. Add splits
 // classes along the new row's survival mask with three word-ops per class.
-// On realistic failure rates a thousand-scenario panel settles into a few
-// dozen classes, which cuts the rank work by orders of magnitude.
+// Classes are bounded by min(2^adds, runs): a MonteRoMe run on the 400-path
+// AS1755 instance with a 1000-scenario panel ends with about 400 classes,
+// so a late Gain does hundreds of rank probes where a per-scenario oracle
+// does a thousand.
 //
 // Rank probes run on rank-only float64 sparse bases, since ER(R) is rank
-// over the reals. Gain and Add are single-goroutine over the handful of
-// classes; GainBatch fans candidates out over the persistent worker pool,
-// every gain landing in its fixed output slot, so results are
+// over the reals. Gain and Add run on the calling goroutine, so results are
 // bit-identical to the serial reference oracle (NewMonteCarloIncSerial,
-// enforced by TestMonteCarloIncMatchesSerial) regardless of scheduling.
-// The steady state — Gain, GainBatch, and splitless Add — allocates
-// nothing: masks and scratch live in per-oracle slabs, class bases keep
-// their storage across rows, and the batch fan-out reuses a prebound shard
-// function (TestMonteCarloIncSteadyStateZeroAlloc).
+// enforced by TestMonteCarloIncMatchesSerial); only the construction-time
+// mask precompute is sharded over the worker pool. The steady state — Gain
+// and splitless Add — allocates nothing: masks and scratch live in
+// per-oracle slabs, class bases keep their storage across rows, and one
+// probe workspace serves every Gain (TestMonteCarloIncSteadyStateZeroAlloc).
 type MonteCarloInc struct {
 	pm    *tomo.PathMatrix
 	set   *failure.ScenarioSet
@@ -162,23 +162,11 @@ type MonteCarloInc struct {
 	classBits []int32
 	bases     []*linalg.SparseBasis
 
-	// wss holds one probe workspace per pool worker.
-	wss []*linalg.Workspace
-
-	// GainBatch fan-out state: the shard function is prebound at
-	// construction (binding a method value allocates) and parameters flow
-	// through fields, so a steady-state batch performs no allocation.
-	batchShardFn func(int)
-	batchPaths   []int
-	batchOut     []float64
-	batchNext    atomic.Int64
-	wg           sync.WaitGroup
+	// ws is the probe workspace every Gain reuses.
+	ws *linalg.Workspace
 }
 
-var (
-	_ Incremental = (*MonteCarloInc)(nil)
-	_ BatchGainer = (*MonteCarloInc)(nil)
-)
+var _ Incremental = (*MonteCarloInc)(nil)
 
 // NewMonteCarloInc draws runs scenarios from the model and returns an empty
 // oracle. The rng drives the packed panel draw; the serial reference
@@ -198,12 +186,7 @@ func NewMonteCarloInc(pm *tomo.PathMatrix, model failure.Sampler, runs int, rng 
 	mc.classBits = []int32{int32(runs)}
 	mc.bases = []*linalg.SparseBasis{linalg.NewSparseBasisRankOnly(links)}
 
-	workers := poolSize()
-	mc.wss = make([]*linalg.Workspace, workers)
-	for i := range mc.wss {
-		mc.wss[i] = linalg.NewWorkspace(links)
-	}
-	mc.batchShardFn = mc.batchShard
+	mc.ws = linalg.NewWorkspace(links)
 
 	// Precompute every candidate's survival mask (one slab) and sparse row,
 	// chunked over paths.
@@ -213,7 +196,7 @@ func NewMonteCarloInc(pm *tomo.PathMatrix, model failure.Sampler, runs int, rng 
 	mc.rowCols = make([][]int, n)
 	mc.rowVals = make([][]float64, n)
 	var nextPath atomic.Int64
-	runShards(minInt(workers, n), func(int) {
+	runShards(min(poolSize(), n), func(int) {
 		for {
 			i := int(nextPath.Add(1)) - 1
 			if i >= n {
@@ -255,73 +238,19 @@ func andCount(a, b []uint64) int {
 	return n
 }
 
-// inSpan probes candidate path's row against class c's basis with worker
-// w's scratch. Read-only on the basis; safe for concurrent workers.
-func (mc *MonteCarloInc) inSpan(c, path, w int) bool {
-	return mc.bases[c].InSpanSparseWith(mc.rowCols[path], mc.rowVals[path], mc.wss[w])
-}
-
-// gainHits counts the scenarios in which the path both survives and is
-// independent of the class basis: per class, a word-parallel survivor count
-// and at most one rank probe.
-func (mc *MonteCarloInc) gainHits(path, worker int) int {
-	mask := mc.masks[path]
+// Gain implements Incremental. Per class, a word-parallel count of the
+// scenarios in which the path survives and, if there are any, one rank
+// probe against the class basis: the path gains in every surviving
+// scenario of a class whose basis does not span its row.
+func (mc *MonteCarloInc) Gain(path int) float64 {
+	mask, cols, vals := mc.masks[path], mc.rowCols[path], mc.rowVals[path]
 	hits := 0
-	for c := range mc.classMask {
-		cnt := andCount(mask, mc.classMask[c])
-		if cnt == 0 {
-			continue
-		}
-		if !mc.inSpan(c, path, worker) {
+	for c, cm := range mc.classMask {
+		if cnt := andCount(mask, cm); cnt != 0 && !mc.bases[c].InSpanSparseWith(cols, vals, mc.ws) {
 			hits += cnt
 		}
 	}
-	return hits
-}
-
-// Gain implements Incremental. With a few dozen classes the whole
-// evaluation is cheaper than a fan-out dispatch, so it runs on the calling
-// goroutine; GainBatch is the parallel entry point.
-func (mc *MonteCarloInc) Gain(path int) float64 {
-	return float64(mc.gainHits(path, 0)) / float64(mc.set.N())
-}
-
-// batchShard is the GainBatch worker body: claim paths off the atomic
-// counter, write each gain into its fixed slot.
-func (mc *MonteCarloInc) batchShard(worker int) {
-	paths, out := mc.batchPaths, mc.batchOut
-	n := float64(mc.set.N())
-	for {
-		i := int(mc.batchNext.Add(1)) - 1
-		if i >= len(paths) {
-			return
-		}
-		out[i] = float64(mc.gainHits(paths[i], worker)) / n
-	}
-}
-
-// GainBatch implements BatchGainer: paths are claimed off an atomic counter
-// by pool workers, each probing the shared class bases with its own
-// scratch. out[i] is exactly Gain(paths[i]).
-func (mc *MonteCarloInc) GainBatch(paths []int, out []float64) {
-	if len(out) != len(paths) {
-		panic("er: GainBatch output length mismatch")
-	}
-	if len(paths) == 0 {
-		return
-	}
-	workers := minInt(minInt(poolSize(), len(mc.wss)), len(paths))
-	mc.batchPaths, mc.batchOut = paths, out
-	mc.batchNext.Store(0)
-	runShardsWith(workers, mc.batchShardFn, &mc.wg)
-	mc.batchPaths, mc.batchOut = nil, nil
-}
-
-// addRow commits the path's row into class c's basis, reporting whether it
-// was independent (and so raised the class rank).
-func (mc *MonteCarloInc) addRow(c, path int) bool {
-	added, _, _ := mc.bases[c].AddSparse(mc.rowCols[path], mc.rowVals[path])
-	return added
+	return float64(hits) / float64(mc.set.N())
 }
 
 // Add implements Incremental. Classes split along the new row's survival
@@ -357,7 +286,7 @@ func (mc *MonteCarloInc) Add(path int) {
 			mc.classBits = append(mc.classBits, int32(cnt))
 			mc.bases = append(mc.bases, mc.bases[c].Clone())
 		}
-		if mc.addRow(target, path) {
+		if added, _, _ := mc.bases[target].AddSparse(mc.rowCols[path], mc.rowVals[path]); added {
 			hits += cnt
 		}
 	}
@@ -366,10 +295,3 @@ func (mc *MonteCarloInc) Add(path int) {
 
 // Value implements Incremental.
 func (mc *MonteCarloInc) Value() float64 { return mc.value }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

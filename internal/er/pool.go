@@ -6,36 +6,29 @@ import (
 )
 
 // The er kernels share one persistent worker pool, started lazily on first
-// use and sized to GOMAXPROCS at that moment. A lazy-greedy selection
-// issues tens of thousands of small Gain evaluations; persistent workers
-// amortize the goroutine spawn that per-call fan-out would pay every time.
+// use and sized to GOMAXPROCS at that moment. It runs the batch MonteCarlo
+// estimator's scenario chunks and MonteCarloInc's construction-time mask
+// precompute; the incremental oracle's Gain and Add stay on the caller's
+// goroutine.
 //
-// Determinism contract: the pool only ever executes *sharded* work — fixed
-// index ranges whose partial results land in per-shard slots and are folded
-// on the caller's goroutine in shard order. Since the hot-path partials are
-// integer hit counts, the fold is exact regardless of which worker ran
-// which shard or in what order, so results are bit-identical to a serial
-// run (DESIGN.md §7).
+// Determinism contract: the pool only ever executes *sharded* work whose
+// results land in fixed per-index slots (a scenario's rank, a path's
+// survival mask) and are folded on the caller's goroutine in index order,
+// so results are bit-identical to a serial run regardless of which worker
+// ran which shard (DESIGN.md §7).
 var (
 	poolOnce    sync.Once
 	poolTasks   chan poolTask
 	poolWorkers int
 )
 
-// poolTask carries the shard index alongside the shard function instead of
-// closing over it, so dispatching a shard allocates nothing: the function
-// value is whatever the caller already holds (typically a prebound field)
-// and the struct travels by value through the channel.
+// poolTask carries the shard index alongside the shard function, so one
+// function value serves every shard of a call.
 type poolTask struct {
 	fn    func(shard int)
 	shard int
 	wg    *sync.WaitGroup
 }
-
-// wgPool recycles the WaitGroups runShards synchronizes on; callers with a
-// steady-state zero-alloc contract hold their own WaitGroup and use
-// runShardsWith directly.
-var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 func startPool() {
 	poolWorkers = runtime.GOMAXPROCS(0)
@@ -67,37 +60,17 @@ func poolSize() int {
 // all of them. Shard 0 runs on the calling goroutine, the rest on pool
 // workers. fn must not call runShards itself (single-level parallelism).
 func runShards(shards int, fn func(shard int)) {
-	if shards <= 1 {
-		if shards == 1 {
-			fn(0)
-		}
-		return
-	}
-	wg := wgPool.Get().(*sync.WaitGroup)
-	runShardsWith(shards, fn, wg)
-	wgPool.Put(wg)
-}
-
-// runShardsWith is runShards synchronizing on a caller-held WaitGroup
-// (which must be idle), letting steady-state callers fan out with zero
-// allocation when fn is a prebound function value.
-func runShardsWith(shards int, fn func(shard int), wg *sync.WaitGroup) {
-	if shards <= 1 {
-		if shards == 1 {
-			fn(0)
-		}
-		return
-	}
 	poolOnce.Do(startPool)
-	if poolTasks == nil {
+	if shards <= 1 || poolTasks == nil {
 		for s := 0; s < shards; s++ {
 			fn(s)
 		}
 		return
 	}
+	var wg sync.WaitGroup
 	wg.Add(shards - 1)
 	for s := 1; s < shards; s++ {
-		poolTasks <- poolTask{fn: fn, shard: s, wg: wg}
+		poolTasks <- poolTask{fn: fn, shard: s, wg: &wg}
 	}
 	fn(0)
 	wg.Wait()

@@ -11,7 +11,7 @@ import (
 // This file keeps the original scenario-major Monte Carlo implementations
 // as executable references for the bit-packed kernel in montecarlo.go. The
 // kernel is required to be bit-identical to these (equivalence tests in
-// kernel_test.go), which is what makes the parallel fast path safe to use
+// kernel_test.go), which is what makes the packed fast path safe to use
 // everywhere the serial oracle was.
 
 // serialPanel draws the exact scenario panel a packed kernel would draw

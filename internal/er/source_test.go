@@ -8,7 +8,7 @@ import (
 	"robusttomo/internal/stats"
 )
 
-// The packed parallel oracle fed a stateful Gilbert–Elliott source must
+// The packed oracle fed a stateful Gilbert–Elliott source must
 // stay bit-identical to the serial reference: the serial side expands the
 // very panel the packed side drew (SampleScenarioSet + Scenarios), so
 // burstiness in the panel cannot open a gap. Runs under -race in CI.
@@ -37,17 +37,11 @@ func TestMonteCarloIncGEMatchesSerial(t *testing.T) {
 		serial := NewMonteCarloIncSerial(pm, geB, runs, rand.New(rand.NewPCG(seed, 77)))
 
 		n := pm.NumPaths()
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		batch := make([]float64, n)
 		pick := stats.NewRNG(seed, 99)
 		for round := 0; round < 6; round++ {
-			kernel.GainBatch(all, batch)
 			for q := 0; q < n; q++ {
-				if want := serial.Gain(q); batch[q] != want || kernel.Gain(q) != want {
-					t.Fatalf("seed %d round %d: Gain(%d) = %v, serial %v", seed, round, q, kernel.Gain(q), want)
+				if got, want := kernel.Gain(q), serial.Gain(q); got != want {
+					t.Fatalf("seed %d round %d: Gain(%d) = %v, serial %v", seed, round, q, got, want)
 				}
 			}
 			q := pick.IntN(n)
@@ -61,7 +55,7 @@ func TestMonteCarloIncGEMatchesSerial(t *testing.T) {
 }
 
 // The node-failure source takes the scenario-major panel path (it is not a
-// ColumnSampler); parallel and serial oracles must still agree exactly.
+// ColumnSampler); packed and serial oracles must still agree exactly.
 func TestMonteCarloIncNodeSourceMatchesSerial(t *testing.T) {
 	pm, _ := rocketfuelInstance(t, 80, 5)
 	links := pm.NumLinks()

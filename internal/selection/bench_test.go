@@ -39,8 +39,8 @@ func BenchmarkRoMeProbBoundNaive(b *testing.B) {
 
 // BenchmarkMonteRoMe and BenchmarkMonteRoMeSerial time the full MonteRoMe
 // greedy — selection loop plus ER oracle — on a Rocketfuel topology at a
-// 1000-scenario panel: the bit-packed parallel kernel with the parallel
-// greedy against the serial reference oracle with the serial loop.
+// 1000-scenario panel: the lazy greedy over the bit-packed oracle against
+// the same greedy over the serial reference oracle.
 // cmd/benchregress pairs them into the speedup recorded in
 // BENCH_selection.json.
 func BenchmarkMonteRoMe(b *testing.B) {

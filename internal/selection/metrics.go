@@ -15,10 +15,8 @@ import (
 type selMetrics struct {
 	// runs counts completed RoMe runs (error exits are not counted).
 	runs *obs.Counter
-	// gainEvals / specEvals mirror Result.GainEvaluations and
-	// Result.SpeculativeEvaluations, accumulated across runs.
+	// gainEvals mirrors Result.GainEvaluations, accumulated across runs.
 	gainEvals *obs.Counter
-	specEvals *obs.Counter
 	// runSeconds times one full RoMe call; iterSeconds times each committed
 	// greedy iteration (from the previous commit, or the run start, to the
 	// oracle.Add).
@@ -45,8 +43,6 @@ func newSelMetrics(reg *obs.Registry) *selMetrics {
 			"Completed RoMe greedy runs."),
 		gainEvals: reg.Counter("tomo_selection_gain_evaluations_total",
 			"Oracle gain evaluations, matching Result.GainEvaluations."),
-		specEvals: reg.Counter("tomo_selection_speculative_evaluations_total",
-			"Extra speculative gain evaluations of the parallel wave refresh."),
 		runSeconds: reg.Histogram("tomo_selection_run_seconds",
 			"Duration of one full RoMe run.", iterBuckets),
 		iterSeconds: reg.Histogram("tomo_selection_iteration_seconds",
@@ -55,12 +51,11 @@ func newSelMetrics(reg *obs.Registry) *selMetrics {
 }
 
 // record accounts one completed run. res is the Result being returned to
-// the caller (either exit path), runStart the time.Now() captured at entry
-// when observed (zero otherwise).
+// the caller, runStart the time.Now() captured at entry when observed
+// (zero otherwise).
 func (m *selMetrics) record(res *Result, runStart time.Time) {
 	m.runs.Inc()
 	m.gainEvals.Add(uint64(res.GainEvaluations))
-	m.specEvals.Add(uint64(res.SpeculativeEvaluations))
 	if m.runSeconds != nil {
 		m.runSeconds.Observe(time.Since(runStart).Seconds())
 	}

@@ -158,11 +158,25 @@ func TestSelectPathIsMaximalBasis(t *testing.T) {
 
 func TestSelectPathBudgetedValidation(t *testing.T) {
 	pm, _ := randomInstance(rand.New(rand.NewPCG(2, 2)), 5, 4)
-	if _, err := SelectPathBudgeted(pm, []float64{1}, 5); err == nil {
-		t.Fatal("cost mismatch accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name   string
+		costs  []float64
+		budget float64
+	}{
+		{"cost mismatch", []float64{1}, 5},
+		{"negative cost", []float64{1, -1, 1, 1}, 5},
+		{"NaN cost", []float64{1, 1, nan, 1}, 5},
+		{"negative budget", []float64{1, 1, 1, 1}, -2},
+		{"NaN budget", []float64{1, 1, 1, 1}, nan},
+	} {
+		if _, err := SelectPathBudgeted(pm, c.costs, c.budget); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if _, err := SelectPathBudgeted(pm, []float64{1, 1, 1, 1}, -2); err == nil {
-		t.Fatal("negative budget accepted")
+	// +Inf stays a valid cost and budget, as in the engine's Normalize.
+	if _, err := SelectPathBudgeted(pm, []float64{1, inf, 1, 1}, inf); err != nil {
+		t.Errorf("+Inf cost and budget rejected: %v", err)
 	}
 }
 

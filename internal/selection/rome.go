@@ -18,7 +18,6 @@ package selection
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"robusttomo/internal/er"
@@ -32,14 +31,13 @@ type Result struct {
 	Cost      float64 // total probing cost of the selection
 	Objective float64 // the algorithm's own objective estimate for Selected
 	// GainEvaluations counts oracle gain computations, for the lazy vs
-	// naive ablation. Parallel mode reports exactly the serial count: wave
-	// refreshes replay the serial pop order to decide which evaluations
-	// "count", so the lazy-vs-naive ablation is unaffected by Parallel.
+	// naive ablation.
 	GainEvaluations int
-	// SpeculativeEvaluations counts the extra gain computations the
-	// parallel wave refresh performed beyond what the serial lazy greedy
-	// would have: stale entries batch-evaluated speculatively whose refresh
-	// the replay then discarded. Always zero in serial or naive mode.
+	// SpeculativeEvaluations is always zero.
+	//
+	// Deprecated: RoMe evaluates every gain on its one serial loop and
+	// never computes a gain it does not use. The field is kept, always
+	// zero, for readers of the earlier result shape.
 	SpeculativeEvaluations int
 }
 
@@ -49,26 +47,11 @@ type Options struct {
 	// mode recomputes every candidate's gain each round; results are
 	// identical, evaluation counts are not.
 	Lazy bool
-	// Parallel fans gain evaluations out through the oracle's GainBatch
-	// when it implements er.BatchGainer (the bit-packed Monte Carlo oracle
-	// does): the initial sweep, the lazy stale-refresh waves, and the
-	// naive-mode rescans. The selection, objective, heap evolution and
-	// GainEvaluations are identical to the serial loop — lazy waves only
-	// prefetch the refreshes the serial pop order is about to demand, and
-	// each prefetched gain is consumed exactly where the serial loop would
-	// have computed it. Oracles without GainBatch fall back to the serial
-	// loop.
-	Parallel bool
-	// MinGain stops the greedy once the best available marginal gain
-	// drops to or below this threshold (paths past it cannot improve the
-	// objective). Zero is a sensible default for ER oracles.
-	MinGain float64
 	// Ctx, when non-nil, is checked between greedy iterations: once it is
 	// cancelled, RoMe returns ctx.Err() (wrapped) instead of completing
 	// the selection. Long MonteRoMe runs become interruptible; a nil Ctx
 	// never cancels. The check sits between iterations, so cancellation
-	// latency is one gain evaluation (or one batch wave), not one full
-	// run.
+	// latency is one gain evaluation, not one full run.
 	Ctx context.Context
 	// Scratch supplies reusable working storage for the greedy's O(n)
 	// buffers. Callers that run RoMe many times over one instance (the LSR
@@ -92,11 +75,7 @@ type Options struct {
 // it to retain the selection.
 type Scratch struct {
 	initial   []float64
-	all       []int
 	entries   gainHeap
-	pending   map[int]float64
-	wavePaths []int
-	waveGains []float64
 	remaining []bool
 	gains     []float64
 	selected  []int
@@ -105,13 +84,6 @@ type Scratch struct {
 func growF64(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		buf = make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		buf = make([]int, n)
 	}
 	return buf[:n]
 }
@@ -125,9 +97,8 @@ func growBools(buf []bool, n int) []bool {
 	return buf
 }
 
-// NewOptions returns the default options (lazy evaluation, parallel batch
-// evaluation, zero MinGain).
-func NewOptions() Options { return Options{Lazy: true, Parallel: true} }
+// NewOptions returns the default options: lazy evaluation.
+func NewOptions() Options { return Options{Lazy: true} }
 
 // gainHeap is a max-heap of candidate paths keyed by stale weight. It is a
 // typed reimplementation of the container/heap operations: the standard
@@ -208,29 +179,18 @@ func (h gainHeap) down(i int) {
 
 // RoMe runs Algorithm 1 over the candidates of pm with per-path costs and
 // a probing budget, using the provided (empty) incremental ER oracle. The
-// oracle is consumed: after return it reflects the greedy set R_out even
-// when the best-singleton fallback wins.
+// greedy stops once no remaining candidate has a positive marginal gain.
+// The oracle is consumed: after return it reflects the greedy set R_out
+// even when the best-singleton fallback wins.
 func RoMe(pm *tomo.PathMatrix, costs []float64, budget float64, oracle er.Incremental, opts Options) (Result, error) {
 	n := pm.NumPaths()
-	if len(costs) != n {
-		return Result{}, fmt.Errorf("selection: %d costs for %d paths", len(costs), n)
-	}
-	for i, c := range costs {
-		if c < 0 {
-			return Result{}, fmt.Errorf("selection: negative cost %v for path %d", c, i)
-		}
-	}
-	if budget < 0 {
-		return Result{}, fmt.Errorf("selection: negative budget %v", budget)
+	if err := checkBudgeted(n, costs, budget); err != nil {
+		return Result{}, err
 	}
 	if err := cancelErr(opts.Ctx); err != nil {
 		return Result{}, err
 	}
 
-	batcher, _ := oracle.(er.BatchGainer)
-	if !opts.Parallel {
-		batcher = nil
-	}
 	sc := opts.Scratch
 	if sc == nil {
 		sc = &Scratch{}
@@ -244,28 +204,17 @@ func RoMe(pm *tomo.PathMatrix, costs []float64, budget float64, oracle er.Increm
 
 	res := Result{}
 	// Initial gains double as the best-singleton scan: on the empty set,
-	// Gain(q) is the oracle's ER({q}).
+	// Gain(q) is the oracle's ER({q}). The probe-free InitialGains sweep
+	// computes exactly what the per-path loop would, and counts the same
+	// n evaluations, so the lazy-vs-naive ablation is unaffected.
 	initial := growF64(sc.initial, n)
 	sc.initial = initial
-	if ig, ok := oracle.(er.InitialGainer); ok && ig.InitialGains(initial) {
-		// The probe-free empty-set sweep; gains are exactly what the
-		// per-path loop below would compute, and it counts the same so the
-		// lazy-vs-naive ablation is unaffected.
-		res.GainEvaluations += n
-	} else if batcher != nil {
-		all := growInts(sc.all, n)
-		sc.all = all
-		for q := range all {
-			all[q] = q
-		}
-		batcher.GainBatch(all, initial)
-		res.GainEvaluations += n
-	} else {
-		for q := 0; q < n; q++ {
+	if ig, ok := oracle.(er.InitialGainer); !ok || !ig.InitialGains(initial) {
+		for q := range initial {
 			initial[q] = oracle.Gain(q)
-			res.GainEvaluations++
 		}
 	}
+	res.GainEvaluations += n
 	bestSingle, bestSingleVal := -1, 0.0
 	for q := 0; q < n; q++ {
 		if costs[q] <= budget && initial[q] > bestSingleVal {
@@ -285,22 +234,6 @@ func RoMe(pm *tomo.PathMatrix, costs []float64, budget float64, oracle er.Increm
 		}
 		h.init()
 		round := 0
-		// pending holds wave-prefetched refresh gains, valid for the current
-		// committed set only (cleared on every Add). Consuming an entry is
-		// exactly the refresh the serial loop performs at that pop, so heap
-		// evolution and GainEvaluations match the serial loop; entries
-		// batched but never consumed before the set changes are the
-		// speculative overhead.
-		var pending map[int]float64
-		wavePaths := sc.wavePaths
-		waveGains := sc.waveGains
-		if batcher != nil {
-			if sc.pending == nil {
-				sc.pending = make(map[int]float64, refreshWaveSize())
-			}
-			clear(sc.pending)
-			pending = sc.pending
-		}
 		for h.Len() > 0 {
 			if err := cancelErr(opts.Ctx); err != nil {
 				return Result{}, err
@@ -308,25 +241,12 @@ func RoMe(pm *tomo.PathMatrix, costs []float64, budget float64, oracle er.Increm
 			top := h.pop()
 			if top.round != round {
 				// Stale: refresh against the current set and re-insert.
-				var g float64
-				if batcher != nil {
-					got, ok := pending[top.path]
-					if !ok {
-						wavePaths, waveGains = refreshWave(&h, top.path, round, batcher, pending, wavePaths, waveGains)
-						res.SpeculativeEvaluations += len(wavePaths)
-						got = pending[top.path]
-					}
-					delete(pending, top.path)
-					res.SpeculativeEvaluations--
-					g = got
-				} else {
-					g = oracle.Gain(top.path)
-				}
+				g := oracle.Gain(top.path)
 				res.GainEvaluations++
 				h.push(gainEntry{path: top.path, gain: g, weight: weightOf(g, costs[top.path]), round: round})
 				continue
 			}
-			if top.gain <= opts.MinGain {
+			if top.gain <= 0 {
 				break // no candidate can improve the objective
 			}
 			if spent+costs[top.path] <= budget {
@@ -339,15 +259,12 @@ func RoMe(pm *tomo.PathMatrix, costs []float64, budget float64, oracle er.Increm
 					iterStart = now
 				}
 				// Entries computed in earlier rounds are now stale; the
-				// round tag invalidates them lazily on pop. Prefetched
-				// gains reference the pre-Add set and are dropped.
+				// round tag invalidates them lazily on pop.
 				round++
-				clear(pending)
 			}
 			// Whether added or discarded for budget, the path leaves R.
 		}
 		sc.entries = h[:0]
-		sc.wavePaths, sc.waveGains = wavePaths, waveGains
 	} else {
 		remaining := growBools(sc.remaining, n)
 		sc.remaining = remaining
@@ -368,7 +285,7 @@ func RoMe(pm *tomo.PathMatrix, costs []float64, budget float64, oracle er.Increm
 					best, bestWeight = q, w
 				}
 			}
-			if best == -1 || gains[best] <= opts.MinGain {
+			if best == -1 || gains[best] <= 0 {
 				break
 			}
 			if spent+costs[best] <= budget {
@@ -380,25 +297,10 @@ func RoMe(pm *tomo.PathMatrix, costs []float64, budget float64, oracle er.Increm
 					m.iterSeconds.Observe(now.Sub(iterStart).Seconds())
 					iterStart = now
 				}
-				if batcher != nil {
-					paths := make([]int, 0, n)
-					for q := 0; q < n; q++ {
-						if !remaining[q] && q != best {
-							paths = append(paths, q)
-						}
-					}
-					out := make([]float64, len(paths))
-					batcher.GainBatch(paths, out)
-					for i, q := range paths {
-						gains[q] = out[i]
-					}
-					res.GainEvaluations += len(paths)
-				} else {
-					for q := 0; q < n; q++ {
-						if !remaining[q] && q != best {
-							gains[q] = oracle.Gain(q)
-							res.GainEvaluations++
-						}
+				for q := 0; q < n; q++ {
+					if !remaining[q] && q != best {
+						gains[q] = oracle.Gain(q)
+						res.GainEvaluations++
 					}
 				}
 			}
@@ -407,23 +309,30 @@ func RoMe(pm *tomo.PathMatrix, costs []float64, budget float64, oracle er.Increm
 	}
 
 	sc.selected = selected
-	greedyVal := oracle.Value()
-	if bestSingle >= 0 && bestSingleVal > greedyVal {
-		// Record the work actually performed (res still carries the
-		// speculative count the fallback Result drops).
-		m.record(&res, runStart)
-		return Result{
-			Selected:        []int{bestSingle},
-			Cost:            costs[bestSingle],
-			Objective:       bestSingleVal,
-			GainEvaluations: res.GainEvaluations,
-		}, nil
+	res.Selected, res.Cost, res.Objective = selected, spent, oracle.Value()
+	if bestSingle >= 0 && bestSingleVal > res.Objective {
+		res.Selected, res.Cost, res.Objective = []int{bestSingle}, costs[bestSingle], bestSingleVal
 	}
-	res.Selected = selected
-	res.Cost = spent
-	res.Objective = greedyVal
 	m.record(&res, runStart)
 	return res, nil
+}
+
+// checkBudgeted validates the costs and budget of a budgeted selection.
+// Every comparison is written so that NaN fails like a negative value;
+// +Inf stays allowed (such a path never fits a finite budget).
+func checkBudgeted(n int, costs []float64, budget float64) error {
+	if len(costs) != n {
+		return fmt.Errorf("selection: %d costs for %d paths", len(costs), n)
+	}
+	for i, c := range costs {
+		if !(c >= 0) {
+			return fmt.Errorf("selection: invalid cost %v for path %d", c, i)
+		}
+	}
+	if !(budget >= 0) {
+		return fmt.Errorf("selection: invalid budget %v", budget)
+	}
+	return nil
 }
 
 // cancelErr reports a cancelled Options.Ctx (nil contexts never cancel).
@@ -435,56 +344,6 @@ func cancelErr(ctx context.Context) error {
 		return fmt.Errorf("selection: cancelled: %w", err)
 	}
 	return nil
-}
-
-// refreshWaveSize bounds how many stale refreshes one GainBatch call
-// prefetches: enough to keep the oracle's worker pool busy, small enough
-// that the speculative overhead per selection round stays bounded. It does
-// not affect the selection or GainEvaluations — only how evaluations are
-// grouped into batches (and hence SpeculativeEvaluations, which is
-// machine-dependent by design).
-func refreshWaveSize() int {
-	w := 2 * runtime.GOMAXPROCS(0)
-	if w < 4 {
-		w = 4
-	}
-	return w
-}
-
-// refreshWave prefetches refresh gains for the popped stale path plus the
-// next stale entries in heap pop order — the candidates the serial loop is
-// most likely to refresh next this round — in a single GainBatch call, and
-// stores them into pending. Peeked entries are pushed back unchanged, so
-// the heap is exactly as the serial loop would leave it. The wave stops at
-// the first fresh entry: once it surfaces, the round ends before anything
-// below it is refreshed. Returns the scratch slices for reuse; wavePaths
-// holds only the newly evaluated paths.
-func refreshWave(h *gainHeap, first int, round int, batcher er.BatchGainer, pending map[int]float64, wavePaths []int, waveGains []float64) ([]int, []float64) {
-	wavePaths = append(wavePaths[:0], first)
-	limit := refreshWaveSize()
-	var peeked []gainEntry
-	for len(wavePaths) < limit && h.Len() > 0 {
-		e := h.pop()
-		peeked = append(peeked, e)
-		if e.round == round {
-			break
-		}
-		if _, dup := pending[e.path]; dup {
-			continue
-		}
-		wavePaths = append(wavePaths, e.path)
-	}
-	for _, e := range peeked {
-		h.push(e)
-	}
-	for len(waveGains) < len(wavePaths) {
-		waveGains = append(waveGains, 0)
-	}
-	batcher.GainBatch(wavePaths, waveGains[:len(wavePaths)])
-	for i, p := range wavePaths {
-		pending[p] = waveGains[i]
-	}
-	return wavePaths, waveGains
 }
 
 func weightOf(gain, cost float64) float64 {

@@ -83,14 +83,25 @@ func (e *exactInc) Value() float64 { return e.val }
 
 func TestRoMeValidation(t *testing.T) {
 	pm, model := randomInstance(rand.New(rand.NewPCG(1, 1)), 4, 3)
-	if _, err := RoMe(pm, []float64{1}, 10, er.NewProbBoundInc(pm, model), NewOptions()); err == nil {
-		t.Fatal("cost length mismatch accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name   string
+		costs  []float64
+		budget float64
+	}{
+		{"cost length mismatch", []float64{1}, 10},
+		{"negative cost", []float64{1, 1, -1}, 10},
+		{"NaN cost", []float64{1, nan, 1}, 10},
+		{"negative budget", []float64{1, 1, 1}, -1},
+		{"NaN budget", []float64{1, 1, 1}, nan},
+	} {
+		if _, err := RoMe(pm, c.costs, c.budget, er.NewProbBoundInc(pm, model), NewOptions()); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if _, err := RoMe(pm, []float64{1, 1, -1}, 10, er.NewProbBoundInc(pm, model), NewOptions()); err == nil {
-		t.Fatal("negative cost accepted")
-	}
-	if _, err := RoMe(pm, []float64{1, 1, 1}, -1, er.NewProbBoundInc(pm, model), NewOptions()); err == nil {
-		t.Fatal("negative budget accepted")
+	// +Inf stays a valid cost and budget, as in the engine's Normalize.
+	if _, err := RoMe(pm, []float64{1, inf, 1}, inf, er.NewProbBoundInc(pm, model), NewOptions()); err != nil {
+		t.Errorf("+Inf cost and budget rejected: %v", err)
 	}
 }
 

@@ -98,8 +98,8 @@ func TestRoMeInitialGainerTransparent(t *testing.T) {
 	}
 }
 
-// hideInitial strips the InitialGainer (and BatchGainer) extension from an
-// oracle, forcing RoMe onto the per-path Gain sweep.
+// hideInitial strips the InitialGainer extension from an oracle, forcing
+// RoMe onto the per-path Gain sweep.
 type hideInitial struct{ inner er.Incremental }
 
 func (h hideInitial) Gain(path int) float64 { return h.inner.Gain(path) }

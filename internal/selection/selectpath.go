@@ -1,7 +1,6 @@
 package selection
 
 import (
-	"fmt"
 	"sort"
 
 	"robusttomo/internal/linalg"
@@ -23,11 +22,8 @@ func SelectPath(pm *tomo.PathMatrix) []int {
 // decreasing cost order until it fits.
 func SelectPathBudgeted(pm *tomo.PathMatrix, costs []float64, budget float64) (Result, error) {
 	n := pm.NumPaths()
-	if len(costs) != n {
-		return Result{}, fmt.Errorf("selection: %d costs for %d paths", len(costs), n)
-	}
-	if budget < 0 {
-		return Result{}, fmt.Errorf("selection: negative budget %v", budget)
+	if err := checkBudgeted(n, costs, budget); err != nil {
+		return Result{}, err
 	}
 	basis := SelectPath(pm)
 	inBasis := make([]bool, n)
