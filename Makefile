@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 MAX_REGRESS ?= 0.25
 
-.PHONY: all build test race cover cover-gate bench bench-json bench-gate alloc-gate ci fmt-check fuzz fuzz-smoke soak-agent soak-stream soak-cluster serve-smoke cluster-smoke experiments examples clean
+.PHONY: all build test race cover cover-gate bench bench-json bench-gate alloc-gate golden-gate ci fmt-check fuzz fuzz-smoke soak-agent soak-stream soak-cluster serve-smoke cluster-smoke experiments examples clean
 
 all: build test
 
@@ -111,6 +111,23 @@ endef
 alloc-gate:
 	$(call gate-run,./internal/er/,TestMonteCarloIncSteadyStateZeroAlloc)
 	$(call gate-run,./internal/linalg/,TestSparseBasisScratchPresized|TestSparseBasisDependentScratchAllocFree)
+
+# CI golden gate: the output pins (MonteRoMe, MatRoMe and figure
+# fingerprints), the packed-vs-serial Monte Carlo oracle equivalence and
+# the span memo differential, once per GOMAXPROCS value in 1, 2 and 4.
+# Each value runs in its own test processes: er sizes its worker pool once
+# per process, so `-cpu 1,2,4` in one process would shard the mask
+# precompute at a single width only.
+GOLDEN_ER = TestMonteCarloIncMatchesSerial|TestMonteCarloIncSpanMemoSound
+GOLDEN_EXPERIMENTS = TestMonteRoMeGoldenFingerprints|TestMatRoMeGoldenFingerprints|TestFigureGoldenFingerprints
+golden-gate:
+	$(call check-names,./internal/er/,$(GOLDEN_ER))
+	$(call check-names,./internal/experiments/,$(GOLDEN_EXPERIMENTS))
+	@for p in 1 2 4; do \
+		echo "GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -run '^($(GOLDEN_ER))$$' -count=1 -v ./internal/er/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -run '^($(GOLDEN_EXPERIMENTS))$$' -count=1 -v ./internal/experiments/ || exit 1; \
+	done
 
 fuzz: fuzz-smoke
 

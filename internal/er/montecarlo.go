@@ -131,9 +131,14 @@ func MonteCarlo(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rn
 // each class with survivors is probed once against its basis. Add splits
 // classes along the new row's survival mask with three word-ops per class.
 // Classes are bounded by min(2^adds, runs): a MonteRoMe run on the 400-path
-// AS1755 instance with a 1000-scenario panel ends with about 400 classes,
-// so a late Gain does hundreds of rank probes where a per-scenario oracle
-// does a thousand.
+// AS1755 instance with a 1000-scenario panel ends with about 400 classes.
+//
+// Each class also carries a span memo, a bitset over candidate paths. A
+// class basis only grows, so once a probe finds a row in span, the class
+// and every class later split from it skip that row's count and probe in
+// Gain, and its AddSparse in Add. On the 400-path AS1755 instances the
+// memo skips about half of the rank probes (TestMonteCarloIncSpanMemoSound
+// re-checks every memoized answer against the current basis).
 //
 // Rank probes run on rank-only float64 sparse bases, since ER(R) is rank
 // over the reals. Gain and Add run on the calling goroutine, so results are
@@ -141,8 +146,9 @@ func MonteCarlo(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rn
 // enforced by TestMonteCarloIncMatchesSerial); only the construction-time
 // mask precompute is sharded over the worker pool. The steady state — Gain
 // and splitless Add — allocates nothing: masks and scratch live in
-// per-oracle slabs, class bases keep their storage across rows, and one
-// probe workspace serves every Gain (TestMonteCarloIncSteadyStateZeroAlloc).
+// per-oracle slabs, a class's membership mask and memo share one slab,
+// class bases keep their storage across rows, and one probe workspace
+// serves every Gain (TestMonteCarloIncSteadyStateZeroAlloc).
 type MonteCarloInc struct {
 	pm    *tomo.PathMatrix
 	set   *failure.ScenarioSet
@@ -155,10 +161,13 @@ type MonteCarloInc struct {
 	rowVals [][]float64
 	value   float64
 
-	// Scenario equivalence classes. classMask[c] is class c's membership
-	// bitmask over the panel (classes partition the panel), classBits[c]
-	// its popcount, bases[c] its rank-only basis.
-	classMask [][]uint64
+	// Scenario equivalence classes, one slab per class. The first words
+	// words of classes[c] are class c's membership bitmask over the panel
+	// (classes partition the panel). The rest is its span memo: a bitset
+	// over candidate paths whose bit q is set once a probe of class c, or
+	// of a class c split from, has found row q in span. classBits[c] is the
+	// membership popcount, bases[c] the rank-only basis.
+	classes   [][]uint64
 	classBits []int32
 	bases     []*linalg.SparseBasis
 
@@ -179,10 +188,13 @@ func NewMonteCarloInc(pm *tomo.PathMatrix, model failure.Sampler, runs int, rng 
 	mc := &MonteCarloInc{pm: pm, set: set, words: set.Words()}
 	links := pm.NumLinks()
 
-	// The whole panel starts as one class over the empty basis; the empty
-	// link list survives everything, so SurvivalMask(nil) is the all-ones
-	// panel mask with clean padding.
-	mc.classMask = [][]uint64{set.SurvivalMask(nil, nil)}
+	// The whole panel starts as one class over the empty basis with an
+	// empty memo; the empty link list survives everything, so
+	// SurvivalMask(nil) is the all-ones panel mask with clean padding.
+	n := pm.NumPaths()
+	first := make([]uint64, mc.words+(n+63)/64)
+	set.SurvivalMask(nil, first[:mc.words])
+	mc.classes = [][]uint64{first}
 	mc.classBits = []int32{int32(runs)}
 	mc.bases = []*linalg.SparseBasis{linalg.NewSparseBasisRankOnly(links)}
 
@@ -190,7 +202,6 @@ func NewMonteCarloInc(pm *tomo.PathMatrix, model failure.Sampler, runs int, rng 
 
 	// Precompute every candidate's survival mask (one slab) and sparse row,
 	// chunked over paths.
-	n := pm.NumPaths()
 	maskSlab := make([]uint64, n*mc.words)
 	mc.masks = make([][]uint64, n)
 	mc.rowCols = make([][]int, n)
@@ -227,9 +238,15 @@ func (mc *MonteCarloInc) Runs() int { return mc.set.N() }
 
 // Classes returns the current number of scenario equivalence classes (an
 // observability hook; bounded by min(2^adds, runs)).
-func (mc *MonteCarloInc) Classes() int { return len(mc.classMask) }
+func (mc *MonteCarloInc) Classes() int { return len(mc.classes) }
 
-// andCount returns the popcount of a AND b (equal lengths).
+// memoBit locates a path's bit in a class slab's span memo.
+func (mc *MonteCarloInc) memoBit(path int) (word int, bit uint64) {
+	return mc.words + path>>6, uint64(1) << (path & 63)
+}
+
+// andCount returns the popcount of a AND b over the words of a (b may be
+// longer).
 func andCount(a, b []uint64) int {
 	n := 0
 	for i, w := range a {
@@ -238,15 +255,28 @@ func andCount(a, b []uint64) int {
 	return n
 }
 
-// Gain implements Incremental. Per class, a word-parallel count of the
-// scenarios in which the path survives and, if there are any, one rank
-// probe against the class basis: the path gains in every surviving
-// scenario of a class whose basis does not span its row.
+// Gain implements Incremental. Per class whose span memo does not already
+// hold the path, a word-parallel count of the scenarios in which the path
+// survives and, if there are any, one rank probe against the class basis:
+// the path gains in every surviving scenario of a class whose basis does
+// not span its row. An in-span answer sets the memo bit. A class basis only
+// grows (Add extends it in place or in a clone for a split-off class), so
+// the answer cannot change and a memoized class contributes no hits.
 func (mc *MonteCarloInc) Gain(path int) float64 {
 	mask, cols, vals := mc.masks[path], mc.rowCols[path], mc.rowVals[path]
+	mw, bit := mc.memoBit(path)
 	hits := 0
-	for c, cm := range mc.classMask {
-		if cnt := andCount(mask, cm); cnt != 0 && !mc.bases[c].InSpanSparseWith(cols, vals, mc.ws) {
+	for c, cl := range mc.classes {
+		if cl[mw]&bit != 0 {
+			continue
+		}
+		cnt := andCount(mask, cl)
+		if cnt == 0 {
+			continue
+		}
+		if mc.bases[c].InSpanSparseWith(cols, vals, mc.ws) {
+			cl[mw] |= bit
+		} else {
 			hits += cnt
 		}
 	}
@@ -255,36 +285,42 @@ func (mc *MonteCarloInc) Gain(path int) float64 {
 
 // Add implements Incremental. Classes split along the new row's survival
 // mask: a class whose scenarios all survive takes the row in place; a
-// partial class keeps its non-survivors and spawns a new class with a
-// cloned, extended basis for the survivors (three word-ops on the
-// membership masks). Classes are visited in ascending id and new ids
-// appended in that order, so the evolution is deterministic. A splitless
-// Add (every touched class moves wholesale, no new rank) allocates
-// nothing.
+// partial class keeps its non-survivors and spawns a new class, with a
+// cloned basis and a copy of the span memo, for the survivors (three
+// word-ops on the membership masks). A class whose memo holds the row
+// skips AddSparse, since an in-span row leaves a rank-only basis as it is.
+// Classes are visited in ascending id and new ids appended in that order,
+// so the evolution is deterministic. A splitless Add (every touched class
+// moves wholesale, no new rank) allocates nothing.
 func (mc *MonteCarloInc) Add(path int) {
 	mask := mc.masks[path]
-	nc := len(mc.classMask) // new classes appended below start disjoint from mask work done here
+	mw, bit := mc.memoBit(path)
+	nc := len(mc.classes) // new classes appended below start disjoint from mask work done here
 	hits := 0
 	for c := 0; c < nc; c++ {
-		cm := mc.classMask[c]
-		cnt := andCount(mask, cm)
+		cl := mc.classes[c]
+		cnt := andCount(mask, cl)
 		if cnt == 0 {
 			continue
 		}
 		target := c
 		if cnt != int(mc.classBits[c]) {
 			// Partial survival: survivors move to a fresh class whose basis
-			// starts as a clone of c's.
-			newMask := make([]uint64, mc.words)
-			for w := range cm {
-				newMask[w] = cm[w] & mask[w]
-				cm[w] &^= mask[w]
+			// and memo start as copies of c's, in one slab like c's.
+			child := make([]uint64, len(cl))
+			for w, m := range mask {
+				child[w] = cl[w] & m
+				cl[w] &^= m
 			}
+			copy(child[mc.words:], cl[mc.words:])
 			mc.classBits[c] -= int32(cnt)
-			target = len(mc.classMask)
-			mc.classMask = append(mc.classMask, newMask)
+			target = len(mc.classes)
+			mc.classes = append(mc.classes, child)
 			mc.classBits = append(mc.classBits, int32(cnt))
 			mc.bases = append(mc.bases, mc.bases[c].Clone())
+		}
+		if cl[mw]&bit != 0 {
+			continue // target's memo equals c's
 		}
 		if added, _, _ := mc.bases[target].AddSparse(mc.rowCols[path], mc.rowVals[path]); added {
 			hits += cnt

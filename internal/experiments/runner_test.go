@@ -92,40 +92,22 @@ func TestForTrialsProgressMonotone(t *testing.T) {
 	}
 }
 
-// figJSON runs a figure driver at the given worker count and returns its
-// JSON rendering, the byte-level representation the determinism tests
-// compare.
-func figJSON(t *testing.T, fig Figure, err error) string {
-	t.Helper()
-	if err != nil {
-		t.Fatal(err)
+// figureRuns is the table of figure drivers the determinism and golden
+// tests share: each entry runs one driver on workload w at the given scale
+// and renders its output as the text those tests compare and hash.
+func figureRuns(w Workload) map[string]func(sc Scale) (string, error) {
+	figure := func(fig Figure, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return fig.JSON()
 	}
-	s, err := fig.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// TestRunnersParallelMatchSerial is the harness's core guarantee: every
-// figure driver produces byte-identical JSON at Workers 1 and 4 (and the
-// serial inline path at Workers 0).
-func TestRunnersParallelMatchSerial(t *testing.T) {
-	w := testWorkload()
-	runs := map[string]func(sc Scale) (string, error){
+	return map[string]func(sc Scale) (string, error){
 		"fig3": func(sc Scale) (string, error) {
-			fig, err := Fig3(Fig3Config{Workload: w, MaxFailures: 3, Trials: 10}, sc)
-			if err != nil {
-				return "", err
-			}
-			return fig.JSON()
+			return figure(Fig3(Fig3Config{Workload: w, MaxFailures: 3, Trials: 10}, sc))
 		},
 		"fig4": func(sc Scale) (string, error) {
-			fig, err := Fig4(Fig4Config{Workload: w, MaxDependent: 3, ReferenceRuns: 200, SmallRuns: 20}, sc)
-			if err != nil {
-				return "", err
-			}
-			return fig.JSON()
+			return figure(Fig4(Fig4Config{Workload: w, MaxDependent: 3, ReferenceRuns: 200, SmallRuns: 20}, sc))
 		},
 		"fig5+7": func(sc Scale) (string, error) {
 			res, err := BudgetSweep(BudgetSweepConfig{Workload: w, Multiplier: []float64{0.5, 1.0}, WithIdentifiability: true}, sc)
@@ -143,11 +125,7 @@ func TestRunnersParallelMatchSerial(t *testing.T) {
 			return fmt.Sprintf("%s\n%s\n%v", rank, ident, res.BasisCosts), nil
 		},
 		"fig6": func(sc Scale) (string, error) {
-			fig, err := RankCDF(RankCDFConfig{Workload: w, Multiplier: 0.75}, sc)
-			if err != nil {
-				return "", err
-			}
-			return fig.JSON()
+			return figure(RankCDF(RankCDFConfig{Workload: w, Multiplier: 0.75}, sc))
 		},
 		"fig8+9": func(sc Scale) (string, error) {
 			res, err := MatroidLoss(MatroidLossConfig{Base: w, PathCounts: []int{24, 48}}, sc)
@@ -165,11 +143,7 @@ func TestRunnersParallelMatchSerial(t *testing.T) {
 			return rank + "\n" + ident, nil
 		},
 		"fig10": func(sc Scale) (string, error) {
-			fig, err := Learning(LearningConfig{Workload: w, Multiplier: []float64{0.75}, Epochs: []int{30, 60}}, sc)
-			if err != nil {
-				return "", err
-			}
-			return fig.JSON()
+			return figure(Learning(LearningConfig{Workload: w, Multiplier: []float64{0.75}, Epochs: []int{30, 60}}, sc))
 		},
 		"tableI": func(sc Scale) (string, error) {
 			rows, err := TableIWith(sc)
@@ -179,28 +153,46 @@ func TestRunnersParallelMatchSerial(t *testing.T) {
 			return FormatTableI(rows), nil
 		},
 		"intensity": func(sc Scale) (string, error) {
-			fig, err := IntensitySweep(w, sc, []float64{1, 2, 3}, 0.75)
-			if err != nil {
-				return "", err
-			}
-			return fig.JSON()
+			return figure(IntensitySweep(w, sc, []float64{1, 2, 3}, 0.75))
 		},
 		"burstiness": func(sc Scale) (string, error) {
-			fig, err := Burstiness(BurstinessConfig{Workload: w, Multiplier: 0.75, MeanBursts: []float64{1, 8}}, sc)
-			if err != nil {
-				return "", err
-			}
-			return fig.JSON()
+			return figure(Burstiness(BurstinessConfig{Workload: w, Multiplier: 0.75, MeanBursts: []float64{1, 8}}, sc))
 		},
 		"nodefail": func(sc Scale) (string, error) {
-			fig, err := NodeFailures(NodeFailConfig{Workload: w, Multiplier: 0.75, NodeEvents: []float64{0.5, 2}}, sc)
-			if err != nil {
-				return "", err
-			}
-			return fig.JSON()
+			return figure(NodeFailures(NodeFailConfig{Workload: w, Multiplier: 0.75, NodeEvents: []float64{0.5, 2}}, sc))
+		},
+		"correlated": func(sc Scale) (string, error) {
+			return figure(Correlated(CorrelatedConfig{Workload: w, Multiplier: 0.75, GroupProb: 0.15, MaxGroup: 4}, sc))
+		},
+		"multipath": func(sc Scale) (string, error) {
+			return figure(Multipath(MultipathConfig{Workload: w, Multiplier: 0.75, K: []int{1, 2}}, sc))
+		},
+		"closedloop": func(sc Scale) (string, error) {
+			return figure(ClosedLoop(ClosedLoopConfig{Workload: w, Multiplier: 0.6, Horizon: 40, Windows: 4}, sc))
+		},
+		"learnerduel": func(sc Scale) (string, error) {
+			return figure(LearnerDuel(LearnerDuelConfig{Workload: w, Multiplier: 0.5, Horizon: 60, Windows: 4}, sc))
+		},
+		"regret": func(sc Scale) (string, error) {
+			curve, err := Regret(RegretConfig{Workload: w, Multiplier: 0.5, Horizon: 120, Checkpoints: 6}, sc)
+			return fmt.Sprintf("%+v", curve), err
+		},
+		"lazyablation": func(sc Scale) (string, error) {
+			res, err := LazyAblation(w, sc, 0.75)
+			return fmt.Sprintf("%+v", res), err
+		},
+		"oraclequality": func(sc Scale) (string, error) {
+			res, err := OracleQuality(w, sc, 0.75, 500)
+			return fmt.Sprintf("%+v", res), err
 		},
 	}
-	for name, run := range runs {
+}
+
+// TestRunnersParallelMatchSerial is the harness's core guarantee: every
+// figure driver produces byte-identical output at Workers 1 and 4 (and the
+// serial inline path at Workers 0).
+func TestRunnersParallelMatchSerial(t *testing.T) {
+	for name, run := range figureRuns(testWorkload()) {
 		t.Run(name, func(t *testing.T) {
 			serial := testScale()
 			serial.Workers = 1

@@ -37,6 +37,11 @@ const (
 // monterome job omits mc_runs.
 const DefaultMCRuns = 200
 
+// MaxMCRuns is the largest mc_runs a monterome job may ask for. The panel,
+// the per-path survival masks and the scenario class count all grow with
+// it; the limit is 16 times the benchmark job's 1000-scenario panel.
+const MaxMCRuns = 1 << 14
+
 // mcStream is the RNG stream constant for engine Monte Carlo jobs, so a
 // job's scenario stream depends only on its spec seed.
 const mcStream = 0x5e1ec7
@@ -150,8 +155,8 @@ func (selEngine) Normalize(spec engine.Spec) (engine.Job, error) {
 		if spec.MCRuns == 0 {
 			spec.MCRuns = DefaultMCRuns
 		}
-		if spec.MCRuns < 0 {
-			return nil, fmt.Errorf("service: invalid mc_runs %d", spec.MCRuns)
+		if spec.MCRuns < 0 || spec.MCRuns > MaxMCRuns {
+			return nil, fmt.Errorf("service: mc_runs %d outside [1,%d]", spec.MCRuns, MaxMCRuns)
 		}
 	case AlgProbRoMe, AlgMatRoMe, AlgSelectPath:
 		// Deterministic in the instance alone: the scenario-stream knobs

@@ -26,6 +26,25 @@ func testSpec(n int) JobSpec {
 	}
 }
 
+// slowMonteRoMeSpec is a monterome job within the mc_runs limit that runs
+// far longer than any deadline in these tests (still running after 20 s
+// on a 2-vCPU Xeon VM): every two-link path over 48 links (1128
+// candidates), a panel of selection.MaxMCRuns scenarios and a budget that
+// never binds, so the greedy keeps picking while the scenario classes
+// multiply. The greedy checks its context before every gain evaluation,
+// so a cancel stops it promptly.
+func slowMonteRoMeSpec() JobSpec {
+	const links = 48
+	spec := JobSpec{Links: links, Budget: 1e6, Algorithm: AlgMonteRoMe, MCRuns: selection.MaxMCRuns, Seed: 1}
+	for a := 0; a < links; a++ {
+		spec.Probs = append(spec.Probs, 0.1)
+		for b := a + 1; b < links; b++ {
+			spec.Paths = append(spec.Paths, []int{a, b})
+		}
+	}
+	return spec
+}
+
 // blockFirst returns a BeforeRun hook that blocks only the job with
 // testSpec(0)'s budget: it signals started once and waits on release.
 // Other jobs pass straight through.
@@ -235,11 +254,7 @@ func TestCancelRunningJob(t *testing.T) {
 		default:
 		}
 	}})
-	spec := testSpec(0)
-	spec.Algorithm = AlgMonteRoMe
-	spec.MCRuns = 20000
-	spec.Seed = 1
-	out, err := s.Submit(spec)
+	out, err := s.Submit(slowMonteRoMeSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,13 +412,8 @@ func TestCloseDeadlineCancelsRunning(t *testing.T) {
 		default:
 		}
 	}})
-	spec := testSpec(0)
-	spec.Algorithm = AlgMonteRoMe
-	// Far longer than the drain deadline: drawing the panel alone is
-	// hundreds of milliseconds at this size, even on the packed sampler.
-	spec.MCRuns = 1 << 25
-	spec.Seed = 1
-	out, err := s.Submit(spec)
+	// Far longer than the drain deadline.
+	out, err := s.Submit(slowMonteRoMeSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,6 +442,7 @@ func TestInvalidSpecsRejectedSynchronously(t *testing.T) {
 		func(sp *JobSpec) { sp.Budget = -2 },
 		func(sp *JobSpec) { sp.Algorithm = "bogus" },
 		func(sp *JobSpec) { sp.Algorithm = AlgMonteRoMe; sp.MCRuns = -1 },
+		func(sp *JobSpec) { sp.Algorithm = AlgMonteRoMe; sp.MCRuns = selection.MaxMCRuns + 1 },
 	}
 	for i, mutate := range bad {
 		spec := testSpec(0)
@@ -442,6 +453,11 @@ func TestInvalidSpecsRejectedSynchronously(t *testing.T) {
 	}
 	if st := s.Stats(); st.Submitted != 0 {
 		t.Fatalf("invalid specs counted as submissions: %+v", st)
+	}
+	atLimit := testSpec(0)
+	atLimit.Algorithm, atLimit.MCRuns = AlgMonteRoMe, selection.MaxMCRuns
+	if _, err := s.Submit(atLimit); err != nil {
+		t.Fatalf("mc_runs at the limit rejected: %v", err)
 	}
 }
 

@@ -20,6 +20,7 @@ package robusttomo
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 
 	"robusttomo/internal/agent"
@@ -666,7 +667,11 @@ func SelectRobustPathsCtx(ctx context.Context, pm *PathMatrix, model *FailureMod
 // SelectRobustPathsMCCtx is SelectRobustPathsCtx with the Monte Carlo
 // oracle (MonteRoMe) over the given number of sampled scenarios —
 // MonteRoMe is the expensive variant, so cancellation matters most here.
+// A non-positive scenario count is an error.
 func SelectRobustPathsMCCtx(ctx context.Context, pm *PathMatrix, model *FailureModel, costs []float64, budget float64, runs int, rng *rand.Rand) (SelectionResult, error) {
+	if runs <= 0 {
+		return SelectionResult{}, fmt.Errorf("robusttomo: need a positive scenario count, got %d", runs)
+	}
 	opts := selection.NewOptions()
 	opts.Ctx = ctx
 	return selection.RoMe(pm, costs, budget, er.NewMonteCarloInc(pm, model, runs, rng), opts)

@@ -90,6 +90,12 @@ func TestFacadeMonteCarloVariant(t *testing.T) {
 	if len(res.Selected) == 0 || len(res.Selected) > 8 {
 		t.Fatalf("selected %d paths", len(res.Selected))
 	}
+	// An empty scenario panel is an input error, not a panic.
+	for _, runs := range []int{0, -1} {
+		if _, err := SelectRobustPathsMC(pm, model, costs, 8, runs, NewRNG(1, 1)); err == nil {
+			t.Errorf("SelectRobustPathsMC with %d runs returned no error", runs)
+		}
+	}
 }
 
 func TestFacadePresets(t *testing.T) {
