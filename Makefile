@@ -106,11 +106,14 @@ endef
 
 # CI allocation gate: the steady-state zero-allocation contracts asserted
 # with testing.AllocsPerRun — the Monte Carlo incremental oracle (Gain,
-# splitless Add) and the sparse-basis scratch pre-sizing and alloc-free
-# probes. Gated, not just documented.
+# splitless Add), the LSR and ProbRoMe oracles' Gain, the sparse-basis
+# scratch pre-sizing and alloc-free probes, and the path matrix's rank and
+# identifiability passes on a caller-held basis. Gated, not just
+# documented.
 alloc-gate:
-	$(call gate-run,./internal/er/,TestMonteCarloIncSteadyStateZeroAlloc)
+	$(call gate-run,./internal/er/,TestMonteCarloIncSteadyStateZeroAlloc|TestThetaBoundIncGainZeroAlloc|TestProbBoundIncGainZeroAlloc)
 	$(call gate-run,./internal/linalg/,TestSparseBasisScratchPresized|TestSparseBasisDependentScratchAllocFree)
+	$(call gate-run,./internal/tomo/,TestRankOfWithZeroAlloc|TestRankAndIdentifiableWithZeroAlloc)
 
 # CI golden gate: the output pins (MonteRoMe, MatRoMe and figure
 # fingerprints), the packed-vs-serial Monte Carlo oracle equivalence and

@@ -26,7 +26,7 @@ func memoSchedule(t *testing.T, pm *tomo.PathMatrix, model failure.Sampler, runs
 			return
 		}
 		checked++
-		if !mc.bases[c].InSpanSparseWith(mc.rowCols[q], mc.rowVals[q], ws) {
+		if cols, vals := pm.SparseRow(q); !mc.bases[c].InSpanWith(cols, vals, ws) {
 			t.Fatalf("class %d memoizes path %d as in span, but its basis (rank %d) no longer spans the row",
 				c, q, mc.bases[c].Rank())
 		}

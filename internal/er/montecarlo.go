@@ -51,11 +51,8 @@ func MonteCarlo(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rn
 	words := set.Words()
 	maskSlab := make([]uint64, len(idx)*words)
 	masks := make([][]uint64, len(idx))
-	rowCols := make([][]int, len(idx))
-	rowVals := make([][]float64, len(idx))
 	for k, i := range idx {
 		masks[k] = pm.SurvivalMask(set, i, maskSlab[k*words:(k+1)*words:(k+1)*words])
-		rowCols[k], rowVals[k] = sparsifyRow(pm.Row(i))
 	}
 
 	ranks := make([]int, n)
@@ -94,7 +91,7 @@ func MonteCarlo(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rn
 				}
 				basis.Reset()
 				for _, k := range surv {
-					basis.AddSparse(rowCols[k], rowVals[k])
+					basis.Add(pm.SparseRow(idx[k]))
 					if basis.Rank() == links {
 						break
 					}
@@ -136,12 +133,13 @@ func MonteCarlo(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rn
 // Each class also carries a span memo, a bitset over candidate paths. A
 // class basis only grows, so once a probe finds a row in span, the class
 // and every class later split from it skip that row's count and probe in
-// Gain, and its AddSparse in Add. On the 400-path AS1755 instances the
+// Gain, and its basis update in Add. On the 400-path AS1755 instances the
 // memo skips about half of the rank probes (TestMonteCarloIncSpanMemoSound
 // re-checks every memoized answer against the current basis).
 //
 // Rank probes run on rank-only float64 sparse bases, since ER(R) is rank
-// over the reals. Gain and Add run on the calling goroutine, so results are
+// over the reals, fed the path matrix's sorted rows (PathMatrix.SparseRow).
+// Gain and Add run on the calling goroutine, so results are
 // bit-identical to the serial reference oracle (NewMonteCarloIncSerial,
 // enforced by TestMonteCarloIncMatchesSerial); only the construction-time
 // mask precompute is sharded over the worker pool. The steady state — Gain
@@ -155,11 +153,9 @@ type MonteCarloInc struct {
 	words int // panel words per mask
 
 	// masks[i] is candidate i's survival mask over the panel, carved from
-	// one slab; rowCols[i]/rowVals[i] its sorted sparse row.
-	masks   [][]uint64
-	rowCols [][]int
-	rowVals [][]float64
-	value   float64
+	// one slab.
+	masks [][]uint64
+	value float64
 
 	// Scenario equivalence classes, one slab per class. The first words
 	// words of classes[c] are class c's membership bitmask over the panel
@@ -200,12 +196,10 @@ func NewMonteCarloInc(pm *tomo.PathMatrix, model failure.Sampler, runs int, rng 
 
 	mc.ws = linalg.NewWorkspace(links)
 
-	// Precompute every candidate's survival mask (one slab) and sparse row,
-	// chunked over paths.
+	// Precompute every candidate's survival mask (one slab), chunked over
+	// paths.
 	maskSlab := make([]uint64, n*mc.words)
 	mc.masks = make([][]uint64, n)
-	mc.rowCols = make([][]int, n)
-	mc.rowVals = make([][]float64, n)
 	var nextPath atomic.Int64
 	runShards(min(poolSize(), n), func(int) {
 		for {
@@ -214,23 +208,9 @@ func NewMonteCarloInc(pm *tomo.PathMatrix, model failure.Sampler, runs int, rng 
 				return
 			}
 			mc.masks[i] = pm.SurvivalMask(set, i, maskSlab[i*mc.words:(i+1)*mc.words:(i+1)*mc.words])
-			mc.rowCols[i], mc.rowVals[i] = sparsifyRow(pm.Row(i))
 		}
 	})
 	return mc
-}
-
-// sparsifyRow converts a dense row to sorted parallel (cols, vals) form.
-func sparsifyRow(row []float64) ([]int, []float64) {
-	var cols []int
-	var vals []float64
-	for j, x := range row {
-		if x != 0 {
-			cols = append(cols, j)
-			vals = append(vals, x)
-		}
-	}
-	return cols, vals
 }
 
 // Runs returns the scenario panel size.
@@ -263,7 +243,8 @@ func andCount(a, b []uint64) int {
 // grows (Add extends it in place or in a clone for a split-off class), so
 // the answer cannot change and a memoized class contributes no hits.
 func (mc *MonteCarloInc) Gain(path int) float64 {
-	mask, cols, vals := mc.masks[path], mc.rowCols[path], mc.rowVals[path]
+	mask := mc.masks[path]
+	cols, vals := mc.pm.SparseRow(path)
 	mw, bit := mc.memoBit(path)
 	hits := 0
 	for c, cl := range mc.classes {
@@ -274,7 +255,7 @@ func (mc *MonteCarloInc) Gain(path int) float64 {
 		if cnt == 0 {
 			continue
 		}
-		if mc.bases[c].InSpanSparseWith(cols, vals, mc.ws) {
+		if mc.bases[c].InSpanWith(cols, vals, mc.ws) {
 			cl[mw] |= bit
 		} else {
 			hits += cnt
@@ -288,12 +269,14 @@ func (mc *MonteCarloInc) Gain(path int) float64 {
 // partial class keeps its non-survivors and spawns a new class, with a
 // cloned basis and a copy of the span memo, for the survivors (three
 // word-ops on the membership masks). A class whose memo holds the row
-// skips AddSparse, since an in-span row leaves a rank-only basis as it is.
+// skips the basis update, since an in-span row leaves a rank-only basis
+// as it is.
 // Classes are visited in ascending id and new ids appended in that order,
 // so the evolution is deterministic. A splitless Add (every touched class
 // moves wholesale, no new rank) allocates nothing.
 func (mc *MonteCarloInc) Add(path int) {
 	mask := mc.masks[path]
+	cols, vals := mc.pm.SparseRow(path)
 	mw, bit := mc.memoBit(path)
 	nc := len(mc.classes) // new classes appended below start disjoint from mask work done here
 	hits := 0
@@ -322,7 +305,7 @@ func (mc *MonteCarloInc) Add(path int) {
 		if cl[mw]&bit != 0 {
 			continue // target's memo equals c's
 		}
-		if added, _, _ := mc.bases[target].AddSparse(mc.rowCols[path], mc.rowVals[path]); added {
+		if added, _, _ := mc.bases[target].Add(cols, vals); added {
 			hits += cnt
 		}
 	}

@@ -31,6 +31,12 @@ type ProbBoundInc struct {
 	basis   *linalg.SparseBasis
 	members []int // basis member -> candidate path index
 	value   float64
+
+	// Gain's support scratch (capacity: the link count); dependentGain marks
+	// link l counted by seen[l] = gen, a fresh mark set per call.
+	supportScratch []int
+	seen           []uint64
+	gen            uint64
 }
 
 var _ Incremental = (*ProbBoundInc)(nil)
@@ -38,16 +44,19 @@ var _ Incremental = (*ProbBoundInc)(nil)
 // NewProbBoundInc returns an empty ProbBound oracle over the candidates.
 func NewProbBoundInc(pm *tomo.PathMatrix, model *failure.Model) *ProbBoundInc {
 	return &ProbBoundInc{
-		pm:    pm,
-		model: model,
-		ea:    Availabilities(pm, model),
-		basis: linalg.NewSparseBasis(pm.NumLinks()),
+		pm:             pm,
+		model:          model,
+		ea:             Availabilities(pm, model),
+		basis:          linalg.NewSparseBasis(pm.NumLinks()),
+		supportScratch: make([]int, 0, pm.NumLinks()),
+		seen:           make([]uint64, pm.NumLinks()),
 	}
 }
 
-// Gain implements Incremental.
+// Gain implements Incremental. A warm Gain allocates nothing.
 func (pb *ProbBoundInc) Gain(path int) float64 {
-	dep, support := pb.basis.Dependent(pb.pm.Row(path))
+	cols, vals := pb.pm.SparseRow(path)
+	dep, support := pb.basis.Dependent(cols, vals, pb.supportScratch)
 	if !dep {
 		return pb.ea[path]
 	}
@@ -56,7 +65,7 @@ func (pb *ProbBoundInc) Gain(path int) float64 {
 
 // Add implements Incremental.
 func (pb *ProbBoundInc) Add(path int) {
-	added, _, support := pb.basis.Add(pb.pm.Row(path))
+	added, _, support := pb.basis.Add(pb.pm.SparseRow(path))
 	if added {
 		pb.members = append(pb.members, path)
 		pb.value += pb.ea[path]
@@ -75,22 +84,20 @@ func (pb *ProbBoundInc) dependentGain(path int, support []int) float64 {
 		// Zero row: never contributes rank.
 		return 0
 	}
-	onPath := make(map[int]bool)
-	for _, l := range pb.pm.EdgesOf(path) {
-		onPath[l] = true
+	pb.gen++
+	for _, l := range pb.pm.Path(path).Edges {
+		pb.seen[l] = pb.gen
 	}
 	// Π (1 − p_l) over links of the support paths not on q, each counted
-	// once.
-	seen := make(map[int]bool)
+	// once, multiplied in support order and each path's link order.
 	allUp := 1.0
 	for _, member := range support {
-		q := pb.members[member]
-		for _, l := range pb.pm.EdgesOf(q) {
-			if onPath[l] || seen[l] {
+		for _, l := range pb.pm.Path(pb.members[member]).Edges {
+			if pb.seen[l] == pb.gen {
 				continue
 			}
-			seen[l] = true
-			allUp *= 1 - pb.model.Prob(l)
+			pb.seen[l] = pb.gen
+			allUp *= 1 - pb.model.Prob(int(l))
 		}
 	}
 	return pb.ea[path] * (1 - allUp)

@@ -66,13 +66,13 @@ func NewMonteCarloIncSerial(pm *tomo.PathMatrix, model failure.Sampler, runs int
 }
 
 func (mc *serialMonteCarloInc) Gain(path int) float64 {
-	row := mc.pm.Row(path)
+	cols, vals := mc.pm.SparseRow(path)
 	hits := 0
 	for s, sc := range mc.scenarios {
 		if !mc.pm.Available(path, sc) {
 			continue
 		}
-		if dep, _ := mc.bases[s].Dependent(row); !dep {
+		if dep, _ := mc.bases[s].Dependent(cols, vals, nil); !dep {
 			hits++
 		}
 	}
@@ -80,13 +80,13 @@ func (mc *serialMonteCarloInc) Gain(path int) float64 {
 }
 
 func (mc *serialMonteCarloInc) Add(path int) {
-	row := mc.pm.Row(path)
+	cols, vals := mc.pm.SparseRow(path)
 	hits := 0
 	for s, sc := range mc.scenarios {
 		if !mc.pm.Available(path, sc) {
 			continue
 		}
-		if added, _, _ := mc.bases[s].Add(row); added {
+		if added, _, _ := mc.bases[s].Add(cols, vals); added {
 			hits++
 		}
 	}

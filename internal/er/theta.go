@@ -24,7 +24,8 @@ type ThetaBoundInc struct {
 	adds    int
 
 	// supportScratch backs the representation support reported by Gain's
-	// dependence probe, so a greedy sweep's many probes allocate nothing.
+	// dependence probe. Its capacity is the link count, which bounds any
+	// support, so a greedy sweep's many probes allocate nothing.
 	supportScratch []int
 }
 
@@ -37,7 +38,11 @@ var (
 // availabilities. Values are clamped into [0, 1] so UCB-inflated θ̂ + C
 // inputs remain probabilities, as in the LSR analysis.
 func NewThetaBoundInc(pm *tomo.PathMatrix, theta []float64) *ThetaBoundInc {
-	tb := &ThetaBoundInc{pm: pm, basis: linalg.NewSparseBasis(pm.NumLinks())}
+	tb := &ThetaBoundInc{
+		pm:             pm,
+		basis:          linalg.NewSparseBasis(pm.NumLinks()),
+		supportScratch: make([]int, 0, pm.NumLinks()),
+	}
 	tb.Reset(theta)
 	return tb
 }
@@ -69,12 +74,10 @@ func (tb *ThetaBoundInc) Reset(theta []float64) {
 
 // Gain implements Incremental.
 func (tb *ThetaBoundInc) Gain(path int) float64 {
-	dep, support := tb.basis.DependentScratch(tb.pm.Row(path), tb.supportScratch)
+	cols, vals := tb.pm.SparseRow(path)
+	dep, support := tb.basis.Dependent(cols, vals, tb.supportScratch)
 	if !dep {
 		return tb.theta[path]
-	}
-	if cap(support) > cap(tb.supportScratch) {
-		tb.supportScratch = support
 	}
 	return tb.dependentGain(path, support)
 }
@@ -99,7 +102,7 @@ func (tb *ThetaBoundInc) InitialGains(out []float64) bool {
 // Add implements Incremental.
 func (tb *ThetaBoundInc) Add(path int) {
 	tb.adds++
-	added, _, support := tb.basis.Add(tb.pm.Row(path))
+	added, _, support := tb.basis.Add(tb.pm.SparseRow(path))
 	if added {
 		tb.members = append(tb.members, path)
 		tb.value += tb.theta[path]

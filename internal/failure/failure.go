@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"robusttomo/internal/stats"
 )
@@ -302,11 +303,14 @@ func (m *Model) Restore(s SourceState) error {
 }
 
 // PathAvailability returns the expected availability of a path crossing the
-// given links: Π (1 − p_l), per Eq. 3 of the paper.
+// given links: Π (1 − p_l) over the distinct links, per Eq. 3 of the paper,
+// multiplied in listed order (a link listed twice counts once).
 func (m *Model) PathAvailability(links []int) float64 {
 	ea := 1.0
-	for _, l := range links {
-		ea *= 1 - m.probs[l]
+	for k, l := range links {
+		if !slices.Contains(links[:k], l) {
+			ea *= 1 - m.probs[l]
+		}
 	}
 	return ea
 }

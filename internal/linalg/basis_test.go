@@ -11,7 +11,7 @@ import (
 // construction code with vectors known to be independent.
 func mustAdd(t *testing.T, b *SparseBasis, v []float64) {
 	t.Helper()
-	if added, _, _ := b.Add(v); !added {
+	if added, _, _ := b.Add(sparse(v)); !added {
 		t.Fatalf("Add(%v): dependent vector rejected", v)
 	}
 }
@@ -20,7 +20,7 @@ func TestBasisAddIndependent(t *testing.T) {
 	b := NewSparseBasis(3)
 	vectors := [][]float64{{1, 1, 0}, {0, 1, 1}, {1, 0, 0}}
 	for i, v := range vectors {
-		added, member, _ := b.Add(v)
+		added, member, _ := b.Add(sparse(v))
 		if !added || member != i {
 			t.Fatalf("Add #%d: added=%v member=%d", i, added, member)
 		}
@@ -37,7 +37,7 @@ func TestBasisRejectsDependentWithSupport(t *testing.T) {
 	mustAdd(t, b, []float64{0, 0, 0, 1}) // member 2
 
 	// v = member0 - member1 → support {0, 1}.
-	added, _, support := b.Add([]float64{1, 0, -1, 0})
+	added, _, support := b.Add(sparse([]float64{1, 0, -1, 0}))
 	if added {
 		t.Fatal("dependent vector accepted")
 	}
@@ -46,13 +46,13 @@ func TestBasisRejectsDependentWithSupport(t *testing.T) {
 	}
 
 	// v = member2 alone → support {2}.
-	dep, support := b.Dependent([]float64{0, 0, 0, 2})
+	dep, support := dependent(b, []float64{0, 0, 0, 2})
 	if !dep || len(support) != 1 || support[0] != 2 {
 		t.Fatalf("Dependent = %v %v, want true [2]", dep, support)
 	}
 
 	// Zero vector → dependent with empty support.
-	dep, support = b.Dependent([]float64{0, 0, 0, 0})
+	dep, support = dependent(b, []float64{0, 0, 0, 0})
 	if !dep || len(support) != 0 {
 		t.Fatalf("zero vector: %v %v", dep, support)
 	}
@@ -73,7 +73,7 @@ func TestBasisSupportCoefficientsReconstruct(t *testing.T) {
 	for j := range v {
 		v[j] = 2*m0[j] - m1[j] + 3*m2[j]
 	}
-	dep, support := b.Dependent(v)
+	dep, support := dependent(b, v)
 	if !dep || len(support) != 3 {
 		t.Fatalf("Dependent(%v) = %v %v", v, dep, support)
 	}
@@ -83,12 +83,12 @@ func TestBasisDependentDoesNotMutate(t *testing.T) {
 	b := NewSparseBasis(2)
 	mustAdd(t, b, []float64{1, 0})
 	rankBefore := b.Rank()
-	b.Dependent([]float64{0, 1})
+	dependent(b, []float64{0, 1})
 	if b.Rank() != rankBefore {
 		t.Fatal("Dependent mutated basis")
 	}
 	// The independent probe above must still be addable.
-	if added, _, _ := b.Add([]float64{0, 1}); !added {
+	if added, _, _ := b.Add(sparse([]float64{0, 1})); !added {
 		t.Fatal("independent vector rejected after probe")
 	}
 }
@@ -100,7 +100,7 @@ func TestBasisDimMismatchPanics(t *testing.T) {
 			t.Fatal("dim mismatch should panic")
 		}
 	}()
-	b.Add([]float64{1})
+	b.Add(sparse([]float64{0, 0, 0, 1}))
 }
 
 func TestBasisCloneIsolated(t *testing.T) {
@@ -123,7 +123,7 @@ func TestBasisInsertionOrderIndependence(t *testing.T) {
 	mustAdd(t, b, []float64{0, 1, 0, 0}) // pivot col 1
 
 	// span = {e2+e3, e0+e1+e2, e1}; so e0 = (r1 - r0... ) check known member:
-	dep, _ := b.Dependent([]float64{1, 0, 1, 1}) // r1 - r2 = [1 0 1 0]; plus?
+	dep, _ := dependent(b, []float64{1, 0, 1, 1}) // r1 - r2 = [1 0 1 0]; plus?
 	// [1 0 1 1] = r1 - r2 + (r0 - [0 0 1 0])? Compute: r1-r2 = [1 0 1 0].
 	// [1 0 1 1] - [1 0 1 0] = e3, and e3 = r0 - e2 is not representable
 	// without e2 alone. Must NOT be dependent unless e3 in span. e3 alone:
@@ -151,7 +151,7 @@ func TestBasisMatchesMatrixRank(t *testing.T) {
 		b := NewSparseBasis(cols)
 		order := rng.Perm(rows)
 		for _, i := range order {
-			b.Add(m.Row(i))
+			b.Add(sparse(m.Row(i)))
 		}
 		return b.Rank() == Rank(m)
 	}
@@ -178,7 +178,7 @@ func TestBasisSupportSpansVector(t *testing.T) {
 					v[j] = 1
 				}
 			}
-			added, _, support := b.Add(v)
+			added, _, support := b.Add(sparse(v))
 			if added {
 				members = append(members, v)
 				continue
@@ -224,7 +224,7 @@ func TestBasisSupportMinimal(t *testing.T) {
 					v[j] = 1
 				}
 			}
-			added, _, support := b.Add(v)
+			added, _, support := b.Add(sparse(v))
 			if added {
 				members = append(members, v)
 				continue
@@ -279,7 +279,7 @@ func TestBasisNumericalStability(t *testing.T) {
 				comb[k] += scale * v[k]
 			}
 		}
-		dep, _ := b.Dependent(comb)
+		dep, _ := dependent(b, comb)
 		if !dep {
 			t.Fatalf("iteration %d: combination flagged independent", i)
 		}

@@ -1,7 +1,5 @@
 package linalg
 
-import "fmt"
-
 // sparseRow is a vector stored as parallel (col, val) pairs, sorted by
 // column.
 type sparseRow struct {
@@ -15,6 +13,9 @@ func (r *sparseRow) nnz() int { return len(r.cols) }
 // in fully reduced (RREF) form, stored sparsely, and tracks for every
 // accepted vector the coefficients of its representation in terms of the
 // previously accepted ones.
+//
+// Every operation takes a vector as parallel (cols, vals) slices, columns
+// sorted ascending within [0, dim): the form of tomo.PathMatrix.SparseRow.
 //
 // Members are addressed by acceptance order (0, 1, 2, ...). When Add
 // rejects a vector as dependent it reports the support of its unique
@@ -194,27 +195,24 @@ func (b *SparseBasis) memberCoeffs(factors []float64) []float64 {
 	return coeffs
 }
 
-// Dependent reports whether v already lies in the span, without modifying
-// the basis. If it does, support lists the member indices (in acceptance
-// order) whose combination reproduces v; it is empty for the zero vector
-// and nil in rank-only mode.
-func (b *SparseBasis) Dependent(v []float64) (dependent bool, support []int) {
-	return b.DependentScratch(v, nil)
+// checkVec panics unless (cols, vals) fits the basis (sorted: ends only).
+func (b *SparseBasis) checkVec(cols []int, vals []float64) {
+	if len(cols) != len(vals) || len(cols) > 0 && (cols[0] < 0 || cols[len(cols)-1] >= b.dim) {
+		panic("linalg: sparse vector does not fit the basis dimension")
+	}
 }
 
-// DependentScratch is Dependent with a caller-provided support scratch: the
-// reported support is appended into scratch[:0], so a hot caller probing
-// many vectors against one basis performs no per-probe allocation. The
-// returned slice aliases scratch (when its capacity sufficed) and is valid
-// until the caller's next use of it.
-func (b *SparseBasis) DependentScratch(v []float64, scratch []int) (dependent bool, support []int) {
-	if len(v) != b.dim {
-		panic(fmt.Sprintf("linalg: sparse basis dim %d, vector dim %d", b.dim, len(v)))
-	}
+// Dependent reports whether (cols, vals) already lies in the span, without
+// modifying the basis. If it does, support lists the member indices (in
+// acceptance order) whose combination reproduces it, appended into
+// scratch[:0]; it is empty for the zero vector and nil in rank-only mode.
+// A scratch of capacity Dim() never grows, so such probes allocate nothing.
+func (b *SparseBasis) Dependent(cols []int, vals []float64, scratch []int) (dependent bool, support []int) {
 	if b.rankOnly {
-		return b.InSpanWith(v, b.ws), nil
+		return b.InSpanWith(cols, vals, b.ws), nil
 	}
-	b.ws.load(v)
+	b.checkVec(cols, vals)
+	b.ws.loadSparse(cols, vals)
 	factors := b.reduceScratch()
 	pivot := b.ws.residualPivot(b.tol)
 	b.ws.clear()
@@ -230,41 +228,15 @@ func (b *SparseBasis) DependentScratch(v []float64, scratch []int) (dependent bo
 	return true, support
 }
 
-// InSpanWith reports whether v lies in the row span, reducing in the
-// caller-supplied workspace and allocating nothing. It performs exactly the
-// eliminations Dependent performs (so the answer is bit-identical) but
-// skips the factor and support bookkeeping. The basis itself is only read:
-// concurrent InSpanWith calls on one shared basis are safe as long as each
-// goroutine brings its own workspace and no mutation (Add, Reset) runs
-// concurrently.
-func (b *SparseBasis) InSpanWith(v []float64, ws *Workspace) bool {
-	if len(v) != b.dim {
-		panic(fmt.Sprintf("linalg: sparse basis dim %d, vector dim %d", b.dim, len(v)))
-	}
-	ws.checkDim(b.dim)
-	if len(b.rows) == 0 {
-		// Empty basis spans only the zero vector.
-		for _, x := range v {
-			if !nearZero(x, b.tol) {
-				return false
-			}
-		}
-		return true
-	}
-	if len(b.rows) == b.dim {
-		return true // full column rank spans everything
-	}
-	ws.load(v)
-	b.reduce(ws, nil)
-	pivot := ws.residualPivot(b.tol)
-	ws.clear()
-	return pivot < 0
-}
-
-// InSpanSparseWith is InSpanWith for a vector given in sparse form (parallel
-// cols/vals sorted by column, columns within [0, dim)). Bit-identical to
-// InSpanWith on the equivalent dense vector.
-func (b *SparseBasis) InSpanSparseWith(cols []int, vals []float64, ws *Workspace) bool {
+// InSpanWith reports whether the sparse vector (cols, vals) lies in the row
+// span, reducing in the caller-supplied workspace and allocating nothing.
+// It performs exactly the eliminations Dependent performs (so the answer is
+// bit-identical) but skips the factor and support bookkeeping. The basis
+// itself is only read: concurrent InSpanWith calls on one shared basis are
+// safe as long as each goroutine brings its own workspace and no mutation
+// (Add, Reset) runs concurrently.
+func (b *SparseBasis) InSpanWith(cols []int, vals []float64, ws *Workspace) bool {
+	b.checkVec(cols, vals)
 	ws.checkDim(b.dim)
 	if len(b.rows) == 0 {
 		// Empty basis spans only the zero vector; omitted columns are zero.
@@ -286,15 +258,14 @@ func (b *SparseBasis) InSpanSparseWith(cols []int, vals []float64, ws *Workspace
 }
 
 // Representation returns the coefficients over accepted members that
-// reproduce v, when v lies in the span. Not available in rank-only mode.
-func (b *SparseBasis) Representation(v []float64) (coeffs []float64, ok bool) {
-	if len(v) != b.dim {
-		panic(fmt.Sprintf("linalg: sparse basis dim %d, vector dim %d", b.dim, len(v)))
-	}
+// reproduce the sparse vector (cols, vals), when it lies in the span. Not
+// available in rank-only mode.
+func (b *SparseBasis) Representation(cols []int, vals []float64) (coeffs []float64, ok bool) {
 	if b.rankOnly {
 		panic("linalg: Representation called on a rank-only sparse basis")
 	}
-	b.ws.load(v)
+	b.checkVec(cols, vals)
+	b.ws.loadSparse(cols, vals)
 	factors := b.reduceScratch()
 	pivot := b.ws.residualPivot(b.tol)
 	b.ws.clear()
@@ -306,24 +277,29 @@ func (b *SparseBasis) Representation(v []float64) (coeffs []float64, ok bool) {
 	return append([]float64(nil), b.memberCoeffs(factors)...), true
 }
 
-// Add inserts v if it is independent of the basis: added reports true and
-// member is its index. Otherwise added is false and support lists the
-// members whose combination reproduces v (nil in rank-only mode).
-func (b *SparseBasis) Add(v []float64) (added bool, member int, support []int) {
-	if len(v) != b.dim {
-		panic(fmt.Sprintf("linalg: sparse basis dim %d, vector dim %d", b.dim, len(v)))
-	}
-	b.ws.load(v)
+// Add inserts the sparse vector (cols, vals) if it is independent of the
+// basis: added reports true and member is its index. Otherwise added is
+// false and support lists the members whose combination reproduces it (nil
+// in rank-only mode).
+func (b *SparseBasis) Add(cols []int, vals []float64) (added bool, member int, support []int) {
+	b.checkVec(cols, vals)
+	b.ws.loadSparse(cols, vals)
 	return b.addLoaded()
 }
 
-// AddSparse is Add for a vector given in sparse form: parallel cols/vals
-// sorted by column, all columns within [0, dim). It skips the dense scan
-// that load performs, and because loadSparse touches columns in the same
-// order, the outcome is bit-identical to Add on the equivalent dense vector.
-func (b *SparseBasis) AddSparse(cols []int, vals []float64) (added bool, member int, support []int) {
-	b.ws.loadSparse(cols, vals)
-	return b.addLoaded()
+// UnitRows returns the number of stored rows with a single entry: the
+// number of unit vectors e_j in the span, at O(rank) cost. In the reduced
+// form e_j can only be the row with pivot j (a combination's coefficient on
+// row r is its value at r's pivot), and stored entries exceed tol, so the
+// count equals the number of j for which Dependent(e_j) answers true.
+func (b *SparseBasis) UnitRows() int {
+	n := 0
+	for i := range b.rows {
+		if len(b.rows[i].cols) == 1 {
+			n++
+		}
+	}
+	return n
 }
 
 // addLoaded runs the Add body on the vector already scattered into b.ws.

@@ -79,7 +79,10 @@ func yenSeedRows(f *testing.F, monitors, k int, disjoint bool) (dim int, rows []
 // FuzzSparseVsExactRank drives random 0/1 matrices through SparseBasis, in
 // both support-tracking and rank-only mode, against the exact big.Rat rank.
 // Invariants: every Add accepts its row exactly when the exact rank of the
-// row prefix rises, and the final rank equals RankExact of the matrix.
+// row prefix rises, the final rank equals RankExact of the matrix, and the
+// final basis holds one single-entry row per column j whose unit vector
+// e_j lies in the exact row space (RankExact unchanged by appending e_j),
+// the identifiability count RankAndIdentifiable reads off UnitRows.
 //
 // The seed corpus holds the monitor-star triangle and the four-path hub
 // instance (rows that cancel mod 2 but are rationally independent), random
@@ -121,7 +124,7 @@ func FuzzSparseVsExactRank(f *testing.F) {
 			prefix = append(prefix, r)
 			next := RankExact(m.SelectRows(prefix))
 			for _, b := range bases {
-				if added, _, _ := b.Add(m.Row(r)); added != (next > exact) {
+				if added, _, _ := b.Add(sparse(m.Row(r))); added != (next > exact) {
 					t.Fatalf("row %d: Add accepted=%v, exact prefix rank %d -> %d", r, added, exact, next)
 				}
 			}
@@ -131,6 +134,23 @@ func FuzzSparseVsExactRank(f *testing.F) {
 		for _, b := range bases {
 			if b.Rank() != want {
 				t.Fatalf("final rank %d, RankExact %d", b.Rank(), want)
+			}
+		}
+		withUnit := NewMatrix(m.Rows()+1, m.Cols())
+		for r := 0; r < m.Rows(); r++ {
+			copy(withUnit.Row(r), m.Row(r))
+		}
+		identifiable := 0
+		for j := 0; j < m.Cols(); j++ {
+			withUnit.Set(m.Rows(), j, 1)
+			if RankExact(withUnit) == want {
+				identifiable++
+			}
+			withUnit.Set(m.Rows(), j, 0)
+		}
+		for _, b := range bases {
+			if b.UnitRows() != identifiable {
+				t.Fatalf("%d single-entry rows, %d columns with e_j in the exact row space", b.UnitRows(), identifiable)
 			}
 		}
 	})

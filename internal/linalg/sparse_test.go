@@ -8,6 +8,24 @@ import (
 	"testing/quick"
 )
 
+// sparse converts a dense test vector to the sorted (cols, vals) form every
+// SparseBasis operation takes.
+func sparse(v []float64) (cols []int, vals []float64) {
+	for j, x := range v {
+		if x != 0 {
+			cols = append(cols, j)
+			vals = append(vals, x)
+		}
+	}
+	return cols, vals
+}
+
+// dependent is Dependent on a dense test vector, without a support scratch.
+func dependent(b *SparseBasis, v []float64) (bool, []int) {
+	cols, vals := sparse(v)
+	return b.Dependent(cols, vals, nil)
+}
+
 // exactRankOfRows is RankExact over the given rows (0 for none).
 func exactRankOfRows(rows [][]float64) int {
 	if len(rows) == 0 {
@@ -109,7 +127,7 @@ func TestSparseBasisMatchesDense(t *testing.T) {
 		b := NewSparseBasis(cols)
 		ref := &exactRef{}
 		for _, i := range rng.Perm(rows) {
-			added, member, support := b.Add(m.Row(i))
+			added, member, support := b.Add(sparse(m.Row(i)))
 			if err := ref.checkAdd(m.Row(i), added, member, support); err != nil {
 				t.Logf("seed %d row %d: %v", seed, i, err)
 				return false
@@ -126,12 +144,12 @@ func TestSparseBasisMatchesDense(t *testing.T) {
 					v[j] = float64(1 + rng.IntN(3))
 				}
 			}
-			dep, support := b.Dependent(v)
+			dep, support := dependent(b, v)
 			if err := ref.checkDependent(v, dep, support); err != nil {
 				t.Logf("seed %d probe %v: %v", seed, v, err)
 				return false
 			}
-			coeffs, ok := b.Representation(v)
+			coeffs, ok := b.Representation(sparse(v))
 			if ok != dep {
 				t.Logf("seed %d probe %v: Representation ok=%v, Dependent=%v", seed, v, ok, dep)
 				return false
@@ -155,26 +173,26 @@ func TestSparseBasisBasics(t *testing.T) {
 	if b.Dim() != 4 || b.Rank() != 0 {
 		t.Fatalf("fresh basis: dim %d rank %d", b.Dim(), b.Rank())
 	}
-	added, member, _ := b.Add([]float64{1, 1, 0, 0})
+	added, member, _ := b.Add(sparse([]float64{1, 1, 0, 0}))
 	if !added || member != 0 {
 		t.Fatalf("first add: %v %d", added, member)
 	}
-	added, member, _ = b.Add([]float64{0, 1, 1, 0})
+	added, member, _ = b.Add(sparse([]float64{0, 1, 1, 0}))
 	if !added || member != 1 {
 		t.Fatalf("second add: %v %d", added, member)
 	}
 	// Dependent: sum of the two members.
-	dep, support := b.Dependent([]float64{1, 2, 1, 0})
+	dep, support := dependent(b, []float64{1, 2, 1, 0})
 	if !dep || len(support) != 2 || support[0] != 0 || support[1] != 1 {
 		t.Fatalf("Dependent = %v %v", dep, support)
 	}
 	// Zero vector.
-	dep, support = b.Dependent([]float64{0, 0, 0, 0})
+	dep, support = dependent(b, []float64{0, 0, 0, 0})
 	if !dep || len(support) != 0 {
 		t.Fatalf("zero vector: %v %v", dep, support)
 	}
 	// Independent probe does not mutate.
-	if dep, _ := b.Dependent([]float64{0, 0, 0, 1}); dep {
+	if dep, _ := dependent(b, []float64{0, 0, 0, 1}); dep {
 		t.Fatal("independent vector flagged dependent")
 	}
 	if b.Rank() != 2 {
@@ -184,16 +202,16 @@ func TestSparseBasisBasics(t *testing.T) {
 
 func TestSparseBasisCloneIsolated(t *testing.T) {
 	b := NewSparseBasis(3)
-	b.Add([]float64{1, 1, 0})
+	b.Add(sparse([]float64{1, 1, 0}))
 	c := b.Clone()
-	if added, _, _ := c.Add([]float64{0, 0, 1}); !added {
+	if added, _, _ := c.Add(sparse([]float64{0, 0, 1})); !added {
 		t.Fatal("clone rejected independent vector")
 	}
 	if b.Rank() != 1 || c.Rank() != 2 {
 		t.Fatalf("ranks = %d,%d, want 1,2", b.Rank(), c.Rank())
 	}
 	// Mutating the clone's accepted rows must not corrupt the original.
-	dep, support := b.Dependent([]float64{2, 2, 0})
+	dep, support := dependent(b, []float64{2, 2, 0})
 	if !dep || len(support) != 1 {
 		t.Fatalf("original basis corrupted: %v %v", dep, support)
 	}
@@ -206,7 +224,7 @@ func TestSparseBasisDimMismatchPanics(t *testing.T) {
 			t.Fatal("dim mismatch should panic")
 		}
 	}()
-	b.Add([]float64{1})
+	b.Add(sparse([]float64{0, 0, 0, 1}))
 }
 
 func TestSparseRowAxpy(t *testing.T) {
@@ -239,11 +257,11 @@ func TestSparseBasisRepeatedUse(t *testing.T) {
 			}
 		}
 		if i%3 == 0 {
-			dep, support := b.Dependent(v)
+			dep, support := dependent(b, v)
 			if err := ref.checkDependent(v, dep, support); err != nil {
 				t.Fatalf("iteration %d: %v", i, err)
 			}
-			if coeffs, ok := b.Representation(v); ok != dep {
+			if coeffs, ok := b.Representation(sparse(v)); ok != dep {
 				t.Fatalf("iteration %d: Representation ok=%v, Dependent=%v", i, ok, dep)
 			} else if ok {
 				if err := ref.checkRepresentation(v, coeffs); err != nil {
@@ -252,7 +270,7 @@ func TestSparseBasisRepeatedUse(t *testing.T) {
 			}
 			continue
 		}
-		added, member, support := b.Add(v)
+		added, member, support := b.Add(sparse(v))
 		if err := ref.checkAdd(v, added, member, support); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
@@ -266,19 +284,20 @@ func BenchmarkSparseBasisAddPathLike(b *testing.B) {
 	// Path-like rows: ~6 nonzeros over 972 columns.
 	rng := rand.New(rand.NewPCG(5, 5))
 	const dim = 972
-	rowsData := make([][]float64, 800)
-	for i := range rowsData {
+	rowCols := make([][]int, 800)
+	rowVals := make([][]float64, 800)
+	for i := range rowCols {
 		v := make([]float64, dim)
 		for k := 0; k < 6; k++ {
 			v[rng.IntN(dim)] = 1
 		}
-		rowsData[i] = v
+		rowCols[i], rowVals[i] = sparse(v)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		basis := NewSparseBasis(dim)
-		for _, v := range rowsData {
-			basis.Add(v)
+		for k := range rowCols {
+			basis.Add(rowCols[k], rowVals[k])
 		}
 	}
 }
@@ -286,8 +305,8 @@ func BenchmarkSparseBasisAddPathLike(b *testing.B) {
 // The per-operation factor and coefficient scratch of a support-tracking
 // basis is pre-sized to dim at construction, so Add never pays a growth
 // reallocation when the member count crosses a previous capacity (the
-// regression this pins down), and warm DependentScratch probes allocate
-// nothing at all. Clones keep their source's mode: a tracking clone keeps
+// regression this pins down), and warm Dependent probes with a support
+// scratch allocate nothing at all. Clones keep their source's mode: a tracking clone keeps
 // the pre-sized scratch, a rank-only clone (one per Monte Carlo class
 // split) allocates none.
 func TestSparseBasisScratchPresized(t *testing.T) {
@@ -299,10 +318,10 @@ func TestSparseBasisScratchPresized(t *testing.T) {
 	v := make([]float64, dim)
 	for j := 0; j < dim; j++ {
 		v[j] = 1
-		if dep, _ := b.Dependent(v); dep {
+		if dep, _ := dependent(b, v); dep {
 			t.Fatalf("unit vector %d dependent", j)
 		}
-		b.Add(v)
+		b.Add(sparse(v))
 		v[j] = 0
 		if cap(b.factorsScratch) != dim || cap(b.coeffsScratch) != dim {
 			t.Fatalf("after %d adds scratch regrew to %d/%d", j+1, cap(b.factorsScratch), cap(b.coeffsScratch))
@@ -316,7 +335,7 @@ func TestSparseBasisScratchPresized(t *testing.T) {
 		t.Fatal("rank-only basis pays for scratch it never uses")
 	}
 	v[0] = 1
-	ro.Add(v)
+	ro.Add(sparse(v))
 	if c := ro.Clone(); cap(c.factorsScratch) != 0 || cap(c.coeffsScratch) != 0 {
 		t.Fatalf("rank-only clone scratch caps = %d/%d, want 0", cap(c.factorsScratch), cap(c.coeffsScratch))
 	}
@@ -328,18 +347,19 @@ func TestSparseBasisDependentScratchAllocFree(t *testing.T) {
 	v := make([]float64, dim)
 	for j := 0; j < 20; j++ {
 		v[j] = 1
-		b.Add(v)
+		b.Add(sparse(v))
 		v[j] = 0
 	}
 	probe := make([]float64, dim)
 	probe[3], probe[7], probe[11] = 1, 1, 1
+	cols, vals := sparse(probe)
 	scratch := make([]int, dim)
 	if avg := testing.AllocsPerRun(100, func() {
-		dep, _ := b.DependentScratch(probe, scratch)
+		dep, _ := b.Dependent(cols, vals, scratch)
 		if !dep {
 			t.Fatal("probe of spanned vector reported independent")
 		}
 	}); avg != 0 {
-		t.Fatalf("warm DependentScratch allocates %.1f allocs/op, want 0", avg)
+		t.Fatalf("warm Dependent with scratch allocates %.1f allocs/op, want 0", avg)
 	}
 }

@@ -32,20 +32,11 @@ func (ws *Workspace) touch(j int) {
 	}
 }
 
-// load scatters v into the dense vector, tracking touched columns.
-func (ws *Workspace) load(v []float64) {
-	for j, x := range v {
-		if x != 0 {
-			ws.dense[j] = x
-			ws.touch(j)
-		}
-	}
-}
-
 // loadSparse scatters a sparse vector (parallel cols/vals sorted by column)
-// into the dense vector. Columns are touched in ascending order — the same
-// order load visits the equivalent dense vector — so reductions started from
-// either form are bit-identical.
+// into the dense vector, tracking touched columns. Columns are touched in
+// ascending order, the order a scan of the equivalent dense vector would
+// visit them, so a reduction's elimination sequence depends only on the
+// vector's values.
 func (ws *Workspace) loadSparse(cols []int, vals []float64) {
 	for i, j := range cols {
 		if x := vals[i]; x != 0 {

@@ -32,13 +32,13 @@ func TestInSpanWithMatchesDependent(t *testing.T) {
 						}
 					}
 				}
-				dep, _ := reference.Dependent(v)
-				if probed.InSpanWith(v, ws) != dep {
+				dep, _ := dependent(reference, v)
+				if cols, vals := sparse(v); probed.InSpanWith(cols, vals, ws) != dep {
 					return false
 				}
 			}
-			pa, pm2, _ := probed.Add(m.Row(i))
-			ra, rm2, _ := reference.Add(m.Row(i))
+			pa, pm2, _ := probed.Add(sparse(m.Row(i)))
+			ra, rm2, _ := reference.Add(sparse(m.Row(i)))
 			if pa != ra || pm2 != rm2 {
 				return false // probing perturbed the basis
 			}
@@ -58,12 +58,13 @@ func TestInSpanWithConcurrentProbes(t *testing.T) {
 	m := randomBinaryMatrix(rng, 30, cols, 0.3)
 	basis := NewSparseBasis(cols)
 	for i := 0; i < 8; i++ {
-		basis.Add(m.Row(i))
+		basis.Add(sparse(m.Row(i)))
 	}
 	want := make([]bool, 30)
 	ws := NewWorkspace(cols)
 	for i := range want {
-		want[i] = basis.InSpanWith(m.Row(i), ws)
+		cols, vals := sparse(m.Row(i))
+		want[i] = basis.InSpanWith(cols, vals, ws)
 	}
 	var wg sync.WaitGroup
 	errs := make([]bool, 8)
@@ -74,7 +75,7 @@ func TestInSpanWithConcurrentProbes(t *testing.T) {
 			own := NewWorkspace(cols)
 			for rep := 0; rep < 50; rep++ {
 				for i := 0; i < 30; i++ {
-					if basis.InSpanWith(m.Row(i), own) != want[i] {
+					if cols, vals := sparse(m.Row(i)); basis.InSpanWith(cols, vals, own) != want[i] {
 						errs[w] = true
 					}
 				}
@@ -97,8 +98,8 @@ func TestSparseBasisReset(t *testing.T) {
 		reused.Reset()
 		fresh := NewSparseBasis(10)
 		for i := 0; i < 15; i++ {
-			ra, rm, _ := reused.Add(m.Row(i))
-			fa, fm, _ := fresh.Add(m.Row(i))
+			ra, rm, _ := reused.Add(sparse(m.Row(i)))
+			fa, fm, _ := fresh.Add(sparse(m.Row(i)))
 			if ra != fa || rm != fm {
 				t.Fatalf("round %d row %d: reused basis diverged from fresh", round, i)
 			}
@@ -116,6 +117,7 @@ func TestWorkspaceDimMismatchPanics(t *testing.T) {
 		}
 	}()
 	b := NewSparseBasis(4)
-	b.Add([]float64{1, 0, 0, 0})
-	b.InSpanWith([]float64{1, 0, 0, 0}, NewWorkspace(3))
+	b.Add(sparse([]float64{1, 0, 0, 0}))
+	cols, vals := sparse([]float64{1, 0, 0, 0})
+	b.InSpanWith(cols, vals, NewWorkspace(3))
 }

@@ -45,7 +45,7 @@ func MatRoMe(pm *tomo.PathMatrix, availability []float64, budget int) (Result, e
 			break
 		}
 		res.GainEvaluations++
-		if added, _, _ := basis.Add(pm.Row(q)); !added {
+		if added, _, _ := basis.Add(pm.SparseRow(q)); !added {
 			continue
 		}
 		res.Selected = append(res.Selected, q)

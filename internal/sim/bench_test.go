@@ -10,16 +10,16 @@ import (
 	"robusttomo/internal/topo"
 )
 
-func benchConfig(b *testing.B, mode Mode, horizon int) Config {
-	b.Helper()
+func benchConfig(tb testing.TB, mode Mode, horizon int) Config {
+	tb.Helper()
 	ex := topo.NewExample()
 	paths, err := routing.MonitorPairs(ex.Graph, ex.Monitors, ex.Monitors)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pm, err := tomo.NewPathMatrix(paths, ex.Graph.NumEdges())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	probs := make([]float64, pm.NumLinks())
 	for i := range probs {
@@ -27,7 +27,7 @@ func benchConfig(b *testing.B, mode Mode, horizon int) Config {
 	}
 	model, err := failure.FromProbabilities(probs)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	costs := make([]float64, pm.NumPaths())
 	for i := range costs {

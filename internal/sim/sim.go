@@ -330,19 +330,13 @@ func (r *Runner) Step(ctx context.Context) (EpochReport, error) {
 		r.m.lateFolded.Add(uint64(report.Collection.LateFolded))
 	}
 	report.Survived = len(surviving)
-	report.Rank = r.cfg.PM.RankOf(surviving)
+	report.Rank, report.Identifiable = r.cfg.PM.RankAndIdentifiable(surviving)
 
 	if r.learner != nil {
 		if _, err := r.learner.Observe(selected, avail); err != nil {
 			return EpochReport{}, err
 		}
 	}
-
-	sys, err := tomo.NewSystem(r.cfg.PM, surviving, nil)
-	if err != nil {
-		return EpochReport{}, err
-	}
-	report.Identifiable = sys.NumIdentifiable()
 
 	diag, err := diagnose.Localize(r.cfg.PM, ob)
 	if err != nil {

@@ -42,6 +42,9 @@ func NewSystemTol(pm *PathMatrix, idx []int, y []float64, tol float64) (*System,
 	if tol <= 0 || tol >= 0.5 {
 		return nil, fmt.Errorf("tomo: tolerance %v out of (0, 0.5)", tol)
 	}
+	if err := pm.checkIndices(idx); err != nil {
+		return nil, err
+	}
 	// Build the augmented matrix [A_S | y] and reduce it as one block so
 	// the measurement column experiences the identical row operations.
 	cols := pm.NumLinks()
@@ -147,9 +150,12 @@ func NewReconstructor(pm *PathMatrix, idx []int, y []float64) (*Reconstructor, e
 	if len(y) != len(idx) {
 		return nil, fmt.Errorf("tomo: %d measurements for %d paths", len(y), len(idx))
 	}
+	if err := pm.checkIndices(idx); err != nil {
+		return nil, err
+	}
 	rc := &Reconstructor{pm: pm, basis: linalg.NewSparseBasis(pm.NumLinks())}
 	for k, i := range idx {
-		if added, _, _ := rc.basis.Add(pm.Row(i)); added {
+		if added, _, _ := rc.basis.Add(pm.SparseRow(i)); added {
 			rc.idx = append(rc.idx, i)
 			rc.y = append(rc.y, y[k])
 		}
@@ -162,9 +168,13 @@ func (rc *Reconstructor) BasisSize() int { return rc.basis.Rank() }
 
 // Reconstruct returns the measurement of candidate path i, if it is a
 // linear combination of the probed basis. ok is false when the path is
-// outside the span (its measurement cannot be derived).
+// outside the span (its measurement cannot be derived) or i is not a
+// candidate path index.
 func (rc *Reconstructor) Reconstruct(i int) (float64, bool) {
-	coeffs, ok := rc.basis.Representation(rc.pm.Row(i))
+	if i < 0 || i >= rc.pm.NumPaths() {
+		return 0, false
+	}
+	coeffs, ok := rc.basis.Representation(rc.pm.SparseRow(i))
 	if !ok {
 		return 0, false
 	}

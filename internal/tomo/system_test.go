@@ -280,3 +280,29 @@ func TestReconstructorDropsDependentProbes(t *testing.T) {
 		t.Fatal("mismatched measurements accepted")
 	}
 }
+
+// Path indices outside [0, NumPaths) are errors from the constructors and
+// ok=false from Reconstruct, never an out-of-range panic.
+func TestSystemAndReconstructorRejectBadIndices(t *testing.T) {
+	_, pm := examplePM(t)
+	for _, bad := range []int{-1, pm.NumPaths()} {
+		if _, err := NewSystem(pm, []int{0, bad}, nil); err == nil {
+			t.Fatalf("NewSystem accepted path index %d", bad)
+		}
+		if _, err := NewSystemTol(pm, []int{bad}, []float64{1}, 1e-6); err == nil {
+			t.Fatalf("NewSystemTol accepted path index %d", bad)
+		}
+		if _, err := NewReconstructor(pm, []int{bad, 0}, []float64{1, 2}); err == nil {
+			t.Fatalf("NewReconstructor accepted path index %d", bad)
+		}
+	}
+	rc, err := NewReconstructor(pm, allIdx(pm), make([]float64, pm.NumPaths()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{-1, pm.NumPaths()} {
+		if v, ok := rc.Reconstruct(bad); ok || v != 0 {
+			t.Fatalf("Reconstruct(%d) = %v, %v; want 0, false", bad, v, ok)
+		}
+	}
+}

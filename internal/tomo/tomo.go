@@ -9,6 +9,7 @@ package tomo
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"robusttomo/internal/failure"
@@ -23,6 +24,11 @@ type PathMatrix struct {
 	links int
 	mat   *linalg.Matrix
 
+	// cols[i] is path i's links, sorted without repeats, carved from one
+	// slab; ones backs every row's values (see SparseRow).
+	cols [][]int
+	ones []float64
+
 	// basisPool recycles rank-only elimination bases across RankOf /
 	// RankAndIdentifiable / SelectBasisIndices calls, so evaluation loops
 	// that rank thousands of row subsets reuse warmed-up storage instead of
@@ -32,24 +38,37 @@ type PathMatrix struct {
 }
 
 // NewPathMatrix builds A from candidate paths over a network with the given
-// number of links. Paths referencing out-of-range links are rejected.
+// number of links. Paths referencing out-of-range links are rejected. A
+// path may list a link more than once or out of order; its row holds each
+// link once.
 func NewPathMatrix(paths []routing.Path, links int) (*PathMatrix, error) {
 	if links <= 0 {
 		return nil, fmt.Errorf("tomo: need positive link count, got %d", links)
 	}
 	m := linalg.NewMatrix(len(paths), links)
+	total := 0
+	for _, p := range paths {
+		total += len(p.Edges)
+	}
+	slab := make([]int, 0, total)
+	cols := make([][]int, len(paths))
 	for i, p := range paths {
 		row := m.Row(i)
+		start := len(slab)
 		for _, e := range p.Edges {
 			if e < 0 || int(e) >= links {
 				return nil, fmt.Errorf("tomo: path %d uses link %d outside [0,%d)", i, e, links)
 			}
 			row[e] = 1
+			slab = append(slab, int(e))
 		}
+		slices.Sort(slab[start:])
+		slab = slab[:start+len(slices.Compact(slab[start:]))]
+		cols[i] = slab[start:len(slab):len(slab)]
 	}
 	cp := make([]routing.Path, len(paths))
 	copy(cp, paths)
-	return &PathMatrix{paths: cp, links: links, mat: m}, nil
+	return &PathMatrix{paths: cp, links: links, mat: m, cols: cols, ones: slices.Repeat([]float64{1}, links)}, nil
 }
 
 // NumPaths returns the number of candidate paths (rows).
@@ -57,6 +76,16 @@ func (pm *PathMatrix) NumPaths() int { return len(pm.paths) }
 
 // NumLinks returns the number of links (columns).
 func (pm *PathMatrix) NumLinks() int { return pm.links }
+
+// checkIndices rejects path indices outside [0, NumPaths()).
+func (pm *PathMatrix) checkIndices(idx []int) error {
+	for _, i := range idx {
+		if i < 0 || i >= len(pm.paths) {
+			return fmt.Errorf("tomo: path index %d outside [0,%d)", i, len(pm.paths))
+		}
+	}
+	return nil
+}
 
 // Path returns candidate path i.
 func (pm *PathMatrix) Path(i int) routing.Path { return pm.paths[i] }
@@ -71,6 +100,14 @@ func (pm *PathMatrix) Paths() []routing.Path {
 // Row returns the 0/1 incidence row of path i (a live view; callers must
 // not modify it).
 func (pm *PathMatrix) Row(i int) []float64 { return pm.mat.Row(i) }
+
+// SparseRow returns row i in the form every linalg.SparseBasis operation
+// takes: the path's links sorted ascending without repeats, and a value
+// of 1 for each. Both are live views; callers must not modify them.
+func (pm *PathMatrix) SparseRow(i int) (cols []int, vals []float64) {
+	cols = pm.cols[i]
+	return cols, pm.ones[:len(cols):len(cols)]
+}
 
 // Matrix returns the full path matrix (a live view).
 func (pm *PathMatrix) Matrix() *linalg.Matrix { return pm.mat }
@@ -106,14 +143,20 @@ func (pm *PathMatrix) NewRankBasis() *linalg.SparseBasis {
 // NewRankBasis), which it resets before use: the steady state performs no
 // allocation. Results are identical to RankOf.
 func (pm *PathMatrix) RankOfWith(idx []int, basis *linalg.SparseBasis) int {
+	pm.addRows(idx, basis)
+	return basis.Rank()
+}
+
+// addRows resets basis and adds the rows of idx until it reaches full
+// column rank, after which no row changes it.
+func (pm *PathMatrix) addRows(idx []int, basis *linalg.SparseBasis) {
 	basis.Reset()
 	for _, i := range idx {
-		basis.Add(pm.Row(i))
+		basis.Add(pm.SparseRow(i))
 		if basis.Rank() == pm.links {
-			break // full column rank; nothing more to gain
+			return
 		}
 	}
-	return basis.Rank()
 }
 
 // acquireBasis takes a rank-only basis from the pool (or makes one).
@@ -217,11 +260,11 @@ func (pm *PathMatrix) UncoveredLinks() []int {
 
 // RankAndIdentifiable evaluates a path subset in one sparse elimination
 // pass: the rank of its rows and the number of identifiable links. Link j
-// is identifiable iff the unit vector e_j lies in the row space, which the
-// incremental basis answers directly via a non-mutating dependence probe.
-// Results match System.NumIdentifiable (see TestRankAndIdentifiable); this
-// path avoids the dense RREF and is what the evaluation harness uses on
-// large instances.
+// is identifiable iff the unit vector e_j lies in the row space, which in
+// the reduced basis holds iff a stored row equals e_j (UnitRows: O(rank),
+// no per-link probe). Results match System.NumIdentifiable (see
+// TestRankAndIdentifiable); this path avoids the dense RREF and is what
+// the evaluation harness and the closed loop use.
 func (pm *PathMatrix) RankAndIdentifiable(idx []int) (rank, identifiable int) {
 	basis := pm.acquireBasis()
 	rank, identifiable = pm.RankAndIdentifiableWith(idx, basis)
@@ -232,23 +275,8 @@ func (pm *PathMatrix) RankAndIdentifiable(idx []int) (rank, identifiable int) {
 // RankAndIdentifiableWith is RankAndIdentifiable against a caller-held
 // basis (see NewRankBasis), which it resets before use.
 func (pm *PathMatrix) RankAndIdentifiableWith(idx []int, basis *linalg.SparseBasis) (rank, identifiable int) {
-	basis.Reset()
-	for _, i := range idx {
-		basis.Add(pm.Row(i))
-		if basis.Rank() == pm.links {
-			break
-		}
-	}
-	rank = basis.Rank()
-	ej := make([]float64, pm.links)
-	for j := 0; j < pm.links; j++ {
-		ej[j] = 1
-		if dep, _ := basis.Dependent(ej); dep {
-			identifiable++
-		}
-		ej[j] = 0
-	}
-	return rank, identifiable
+	pm.addRows(idx, basis)
+	return basis.Rank(), basis.UnitRows()
 }
 
 // SelectBasisIndices returns a maximal independent subset of the given
@@ -258,7 +286,7 @@ func (pm *PathMatrix) SelectBasisIndices(order []int) []int {
 	basis.Reset()
 	var out []int
 	for _, i := range order {
-		if added, _, _ := basis.Add(pm.Row(i)); added {
+		if added, _, _ := basis.Add(pm.SparseRow(i)); added {
 			out = append(out, i)
 		}
 	}

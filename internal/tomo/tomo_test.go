@@ -3,6 +3,7 @@ package tomo
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,7 @@ import (
 	"robusttomo/internal/graph"
 	"robusttomo/internal/linalg"
 	"robusttomo/internal/routing"
+	"robusttomo/internal/stats"
 	"robusttomo/internal/topo"
 )
 
@@ -123,27 +125,188 @@ func TestRankOfMatchesDense(t *testing.T) {
 	}
 }
 
-// Property: the one-pass sparse RankAndIdentifiable matches the System
-// (dense RREF) answers on random subsets.
+// monitorPairsPM builds the path matrix of the first candidates shortest
+// paths between k seeded random sources and k destinations on tp, k*k >=
+// candidates, the experiments harness's placement.
+func monitorPairsPM(t *testing.T, tp *topo.Topology, candidates int, seed uint64) *PathMatrix {
+	t.Helper()
+	k := 1
+	for k*k < candidates {
+		k++
+	}
+	pool := append(append([]graph.NodeID{}, tp.Access...), tp.Core...)
+	picked := stats.SampleWithoutReplacement(stats.NewRNG(seed, 0xF0), len(pool), 2*k)
+	sources := make([]graph.NodeID, k)
+	dests := make([]graph.NodeID, k)
+	for i := 0; i < k; i++ {
+		sources[i] = pool[picked[i]]
+		dests[i] = pool[picked[k+i]]
+	}
+	paths, err := routing.MonitorPairs(tp.Graph, sources, dests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := NewPathMatrix(paths[:min(len(paths), candidates)], tp.Graph.NumEdges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pm
+}
+
+// benchPM is the 60-node, 130-link bench topology of the figure benchmarks
+// with 100 candidate paths.
+func benchPM(t *testing.T) *PathMatrix {
+	t.Helper()
+	tp, err := topo.Generate(topo.Config{Name: "bench", Nodes: 60, Links: 130, PoPs: 5, Seed: 4242})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return monitorPairsPM(t, tp, 100, 1)
+}
+
+// as1755PM is AS1755 with 400 candidate paths.
+func as1755PM(t *testing.T) *PathMatrix {
+	t.Helper()
+	tp, err := topo.Preset(topo.AS1755)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return monitorPairsPM(t, tp, 400, 2)
+}
+
+// RankAndIdentifiable counts single-entry rows of the reduced basis; it
+// must give the rank and identifiable count of the System's dense RREF on
+// random subsets at several densities of the Section II example, the
+// bench topology and AS1755/400.
 func TestRankAndIdentifiable(t *testing.T) {
-	_, pm := examplePM(t)
-	check := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 9))
-		var idx []int
-		for i := 0; i < pm.NumPaths(); i++ {
-			if rng.Float64() < 0.5 {
-				idx = append(idx, i)
+	_, example := examplePM(t)
+	for _, inst := range []struct {
+		name   string
+		pm     *PathMatrix
+		trials int
+	}{
+		{"example", example, 20},
+		{"bench", benchPM(t), 20},
+		{"AS1755/400", as1755PM(t), 25},
+	} {
+		pm := inst.pm
+		rng := stats.NewRNG(17, 9)
+		basis := pm.NewRankBasis()
+		seen := map[int]bool{}
+		for _, density := range []float64{0.05, 0.2, 0.5, 0.9} {
+			for trial := 0; trial < inst.trials; trial++ {
+				var idx []int
+				for i := 0; i < pm.NumPaths(); i++ {
+					if rng.Float64() < density {
+						idx = append(idx, i)
+					}
+				}
+				sys, err := NewSystem(pm, idx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rank, ident := pm.RankAndIdentifiable(idx)
+				rankWith, identWith := pm.RankAndIdentifiableWith(idx, basis)
+				if rank != sys.Rank() || ident != sys.NumIdentifiable() || rankWith != rank || identWith != ident {
+					t.Fatalf("%s density %v trial %d (%d paths): RankAndIdentifiable %d/%d, With %d/%d, System %d/%d",
+						inst.name, density, trial, len(idx), rank, ident, rankWith, identWith, sys.Rank(), sys.NumIdentifiable())
+				}
+				seen[ident] = true
 			}
 		}
-		rank, ident := pm.RankAndIdentifiable(idx)
-		sys, err := NewSystem(pm, idx, nil)
-		if err != nil {
-			return false
+		if len(seen) < 3 {
+			t.Fatalf("%s: identifiable counts %v barely vary; the differential is vacuous", inst.name, seen)
 		}
-		return rank == sys.Rank() && ident == sys.NumIdentifiable()
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
+}
+
+// A path may list its links out of order and more than once. Its row must
+// still hold each link once, sorted, and every rank answer must equal the
+// clean path's.
+func TestNewPathMatrixUnsortedRepeatedLinks(t *testing.T) {
+	clean := benchPM(t)
+	messy := make([]routing.Path, clean.NumPaths())
+	for i := range messy {
+		p := clean.Path(i)
+		edges := slices.Clone(p.Edges)
+		slices.Reverse(edges)
+		edges = append(edges, p.Edges[0], p.Edges[len(p.Edges)/2], p.Edges[0])
+		messy[i] = routing.Path{Src: p.Src, Dst: p.Dst, Edges: edges}
+	}
+	pm, err := NewPathMatrix(messy, clean.NumLinks())
+	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < pm.NumPaths(); i++ {
+		cols, vals := pm.SparseRow(i)
+		want := pm.EdgesOf(i)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if !slices.Equal(cols, want) || len(vals) != len(cols) {
+			t.Fatalf("path %d: row cols %v (%d vals), want %v", i, cols, len(vals), want)
+		}
+		for _, v := range vals {
+			if v != 1 {
+				t.Fatalf("path %d: row value %v, want 1", i, v)
+			}
+		}
+		if cleanCols, _ := clean.SparseRow(i); !slices.Equal(cols, cleanCols) {
+			t.Fatalf("path %d: row %v, clean row %v", i, cols, cleanCols)
+		}
+		if len(pm.Path(i).Edges) != len(messy[i].Edges) {
+			t.Fatalf("path %d: the stored path lost its given link list", i)
+		}
+	}
+	rng := stats.NewRNG(5, 5)
+	for trial := 0; trial < 20; trial++ {
+		order := rng.Perm(pm.NumPaths())
+		idx := order[:1+rng.IntN(len(order))]
+		if got, want := pm.RankOf(idx), clean.RankOf(idx); got != want {
+			t.Fatalf("trial %d: RankOf %d, clean %d", trial, got, want)
+		}
+		if got, want := pm.SelectBasisIndices(order), clean.SelectBasisIndices(order); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: SelectBasisIndices %v, clean %v", trial, got, want)
+		}
+	}
+}
+
+// RankOfWith and RankAndIdentifiableWith on a warm caller-held basis
+// allocate nothing: rows come from the matrix's sorted row cache, and the
+// identifiable count reads the reduced rows instead of probing each link.
+func TestRankOfWithZeroAlloc(t *testing.T) {
+	pm := benchPM(t)
+	idx := make([]int, 0, pm.NumPaths())
+	for i := 0; i < pm.NumPaths(); i += 2 {
+		idx = append(idx, i)
+	}
+	basis := pm.NewRankBasis()
+	want := pm.RankOfWith(idx, basis)
+	if avg := testing.AllocsPerRun(50, func() {
+		if pm.RankOfWith(idx, basis) != want {
+			t.Fatal("rank changed between calls")
+		}
+	}); avg != 0 {
+		t.Fatalf("warm RankOfWith allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+func TestRankAndIdentifiableWithZeroAlloc(t *testing.T) {
+	pm := benchPM(t)
+	idx := make([]int, 0, pm.NumPaths())
+	for i := 0; i < pm.NumPaths(); i += 2 {
+		idx = append(idx, i)
+	}
+	basis := pm.NewRankBasis()
+	wantRank, wantIdent := pm.RankAndIdentifiableWith(idx, basis)
+	if wantIdent == 0 {
+		t.Fatal("no identifiable link; pick a richer subset")
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		if r, i := pm.RankAndIdentifiableWith(idx, basis); r != wantRank || i != wantIdent {
+			t.Fatal("answer changed between calls")
+		}
+	}); avg != 0 {
+		t.Fatalf("warm RankAndIdentifiableWith allocates %.2f allocs/op, want 0", avg)
 	}
 }
 

@@ -61,6 +61,41 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFacadeRejectsBadPathIndices: the facade's system and reconstructor
+// constructors return an error for a path index outside [0, NumPaths), and
+// Reconstruct reports ok=false, instead of panicking.
+func TestFacadeRejectsBadPathIndices(t *testing.T) {
+	ex := NewExampleNetwork()
+	paths, err := MonitorPairs(ex.Graph, ex.Monitors, ex.Monitors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := NewPathMatrix(paths, ex.Graph.NumEdges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{-1, pm.NumPaths()} {
+		if _, err := NewSystem(pm, []int{bad}, nil); err == nil {
+			t.Fatalf("NewSystem accepted path index %d", bad)
+		}
+		if _, err := NewSystemTol(pm, []int{0, bad}, []float64{1, 1}, 1e-6); err == nil {
+			t.Fatalf("NewSystemTol accepted path index %d", bad)
+		}
+		if _, err := NewReconstructor(pm, []int{bad}, []float64{1}); err == nil {
+			t.Fatalf("NewReconstructor accepted path index %d", bad)
+		}
+	}
+	rc, err := NewReconstructor(pm, []int{0, 1}, []float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{-1, pm.NumPaths()} {
+		if _, ok := rc.Reconstruct(bad); ok {
+			t.Fatalf("Reconstruct(%d) reported ok", bad)
+		}
+	}
+}
+
 func TestFacadeMonteCarloVariant(t *testing.T) {
 	ex := NewExampleNetwork()
 	paths, err := MonitorPairs(ex.Graph, ex.Monitors, ex.Monitors)
