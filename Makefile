@@ -104,16 +104,19 @@ define gate-fuzz
 	$(GO) test -fuzz='^$(2)$$' -fuzztime=$(FUZZTIME) $(1)
 endef
 
-# CI allocation gate: the steady-state zero-allocation contracts asserted
-# with testing.AllocsPerRun — the Monte Carlo incremental oracle (Gain,
-# splitless Add), the LSR and ProbRoMe oracles' Gain, the sparse-basis
-# scratch pre-sizing and alloc-free probes, and the path matrix's rank and
-# identifiability passes on a caller-held basis. Gated, not just
-# documented.
+# CI allocation gate: allocation contracts asserted with
+# testing.AllocsPerRun. Most are steady-state zeros — the Monte Carlo
+# incremental oracle (Gain, splitless Add), the LSR and ProbRoMe oracles'
+# Gain, the sparse-basis scratch pre-sizing and alloc-free probes, and the
+# path matrix's rank and identifiability passes on a caller-held basis.
+# One is a bound: the loss engine's Normalize of a 700x64 probe body stays
+# at or under 500 allocations (decoding into [][]int took about 5,000).
+# Gated, not just documented.
 alloc-gate:
 	$(call gate-run,./internal/er/,TestMonteCarloIncSteadyStateZeroAlloc|TestThetaBoundIncGainZeroAlloc|TestProbBoundIncGainZeroAlloc)
 	$(call gate-run,./internal/linalg/,TestSparseBasisScratchPresized|TestSparseBasisDependentScratchAllocFree)
 	$(call gate-run,./internal/tomo/,TestRankOfWithZeroAlloc|TestRankAndIdentifiableWithZeroAlloc)
+	$(call gate-run,./internal/loss/,TestLossNormalizeAllocs)
 
 # CI golden gate: the output pins (MonteRoMe, MatRoMe and figure
 # fingerprints), the packed-vs-serial Monte Carlo oracle equivalence and
@@ -139,14 +142,16 @@ fuzz: fuzz-smoke
 # ships a seed corpus via f.Add, so even -fuzztime 0 replays the known
 # tricky frames. Targets: the sparse-basis vs exact big.Rat rank
 # differential, the scenario-source contract invariants, the edge-list and
-# weight parsers, the canonical cache-key encoder, and the agent and
-# cluster wire codecs.
+# weight parsers, the canonical cache-key encoder, the loss engine's packed
+# probe decoder against encoding/json, and the agent and cluster wire
+# codecs.
 fuzz-smoke:
 	$(call gate-fuzz,./internal/linalg/,FuzzSparseVsExactRank)
 	$(call gate-fuzz,./internal/failure/,FuzzScenarioSource)
 	$(call gate-fuzz,./internal/graph/,FuzzReadEdgeList)
 	$(call gate-fuzz,./internal/topo/,FuzzLoadWeights)
 	$(call gate-fuzz,./internal/selection/,FuzzCanonicalKey)
+	$(call gate-fuzz,./internal/loss/,FuzzLossParams)
 	$(call gate-fuzz,./internal/agent/,FuzzWireFrame)
 	$(call gate-fuzz,./internal/agent/,FuzzBatchFrame)
 	$(call gate-fuzz,./internal/agent/,FuzzBatchRoundTrip)

@@ -442,3 +442,23 @@ func TestAPIUnknownEngineLists400(t *testing.T) {
 		}
 	}
 }
+
+// TestAPIScenarioLinksBounded posts a selection job whose 74-byte params
+// name 20 million scenario links: the daemon must refuse it with 400
+// before building the source.
+func TestAPIScenarioLinksBounded(t *testing.T) {
+	base, _, stop := startAPIServer(t, nil)
+	defer stop()
+
+	var apiErr apiError
+	code, _ := doJSON(t, http.MethodPost, base+"/api/v1/jobs", service.JobSpec{
+		Engine: selection.EngineName,
+		Params: json.RawMessage(`{"scenario":{"source":"bernoulli","links":20000000,"expected_failures":2}}`),
+	}, &apiErr)
+	if code != http.StatusBadRequest {
+		t.Fatalf("20M-link scenario returned %d, want 400", code)
+	}
+	if want := strconv.Itoa(selection.MaxLinks); !strings.Contains(apiErr.Error, want) {
+		t.Fatalf("400 body %q does not name the limit %s", apiErr.Error, want)
+	}
+}

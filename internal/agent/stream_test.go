@@ -298,14 +298,8 @@ func TestStreamDeadMonitorDegrades(t *testing.T) {
 	panel := buildStreamPanel(t, 3, 4)
 	addrs := panel.startMonitors(t)
 
-	// Replace m1's address with a dead one (listener closed immediately).
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-	addrs["m1"] = deadAddr
+	// Replace m1's address with a dead one: nothing listens on port 1.
+	addrs["m1"] = "127.0.0.1:1"
 
 	cfg := panel.streamConfig(addrs)
 	cfg.Retry = RetryPolicy{MaxAttempts: 2}

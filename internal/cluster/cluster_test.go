@@ -149,7 +149,11 @@ func referenceJSON(t testing.TB, spec service.JobSpec) []byte {
 	defer closeService(t, svc)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	res, err := svc.SubmitAndWait(ctx, spec)
+	r, err := spec.Resolve()
+	if err != nil {
+		t.Fatalf("reference resolve: %v", err)
+	}
+	res, err := svc.SubmitAndWait(ctx, r)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}

@@ -45,11 +45,12 @@ func (r rawResult) MarshalJSON() ([]byte, error) {
 // remoteJob tracks one forwarded submission from launch to terminal
 // state. Mutable fields are guarded by the owning Node's mutex.
 type remoteJob struct {
-	key    string
-	spec   service.JobSpec
-	owner  string             // ring owner at submit time
-	cancel context.CancelFunc // cancels the forward's legs
-	done   chan struct{}      // closed on terminal state
+	key      string
+	run      *service.Resolved  // the resolved submission; nil once terminal
+	priority int                // submission priority, echoed in status
+	owner    string             // ring owner at submit time
+	cancel   context.CancelFunc // cancels the forward's legs
+	done     chan struct{}      // closed on terminal state
 
 	state   service.JobState
 	res     engine.Result
@@ -166,7 +167,9 @@ func (n *Node) setPeerGauge(peer string) {
 // returned outcome's ID is pollable through Status/Result/Wait exactly
 // as on a single node.
 func (n *Node) Submit(spec service.JobSpec) (service.SubmitOutcome, error) {
-	key, err := spec.CanonicalKey()
+	// One Normalize per node: the resolved job serves the ring lookup,
+	// the local cache probe and any local execution.
+	r, err := spec.Resolve()
 	if err != nil {
 		n.mu.Lock()
 		n.submitted++
@@ -175,6 +178,7 @@ func (n *Node) Submit(spec service.JobSpec) (service.SubmitOutcome, error) {
 		n.m.submitted.Inc()
 		return service.SubmitOutcome{}, err
 	}
+	key := r.Key()
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -189,7 +193,7 @@ func (n *Node) Submit(spec service.JobSpec) (service.SubmitOutcome, error) {
 	if !ok || owner == n.cfg.Self {
 		// Owned (or sole survivor): the local service runs it, and its
 		// singleflight absorbs concurrent arrivals of the same key.
-		out, err := n.svc.Submit(spec)
+		out, err := n.svc.SubmitResolved(r)
 		switch {
 		case err == nil && out.Cached:
 			n.cacheHits++
@@ -207,7 +211,7 @@ func (n *Node) Submit(spec service.JobSpec) (service.SubmitOutcome, error) {
 
 	// Non-owned: answer locally if the cache already can (dedup onto
 	// in-flight local jobs included), never enqueue locally.
-	out, answered, err := n.svc.SubmitCached(spec)
+	out, answered, err := n.svc.SubmitCached(r)
 	if err != nil {
 		n.rejected++
 		return out, err
@@ -228,7 +232,7 @@ func (n *Node) Submit(spec service.JobSpec) (service.SubmitOutcome, error) {
 		return service.SubmitOutcome{ID: key, State: rj.state, Deduped: true}, nil
 	}
 	fctx, cancel := context.WithCancel(n.ctx)
-	rj := &remoteJob{key: key, spec: spec, owner: owner, cancel: cancel,
+	rj := &remoteJob{key: key, run: r, priority: spec.Priority, owner: owner, cancel: cancel,
 		done: make(chan struct{}), state: service.StateQueued}
 	n.remote[key] = rj
 	n.forwards++
@@ -261,7 +265,8 @@ func (n *Node) runForward(ctx context.Context, rj *remoteJob, targets []string) 
 	defer rj.cancel()
 	start := time.Now()
 
-	specJSON, err := json.Marshal(rj.spec)
+	run := rj.run
+	specJSON, err := json.Marshal(run.Spec())
 	if err != nil {
 		n.finishForward(rj, legResult{err: fmt.Errorf("cluster: encoding spec: %w", err)}, start, false)
 		return
@@ -277,7 +282,7 @@ func (n *Node) runForward(ctx context.Context, rj *remoteJob, targets []string) 
 	outstanding := 0
 	fire := func(target string, hedge bool) {
 		outstanding++
-		go n.runLeg(ctx, target, hedge, rj.key, rj.spec, specJSON, resCh)
+		go n.runLeg(ctx, target, hedge, rj.key, run, specJSON, resCh)
 	}
 	fire(primary, false)
 
@@ -338,7 +343,7 @@ func (n *Node) runForward(ctx context.Context, rj *remoteJob, targets []string) 
 		}
 		// Every remote leg failed; a cluster of one healthy node still
 		// answers everything.
-		res, err := n.svc.SubmitAndWait(ctx, rj.spec)
+		res, err := n.svc.SubmitAndWait(ctx, run)
 		if err != nil {
 			err = fmt.Errorf("cluster: local fallback after %v: %w", lastErr, err)
 		}
@@ -350,9 +355,9 @@ func (n *Node) runForward(ctx context.Context, rj *remoteJob, targets []string) 
 
 // runLeg executes one forward leg: local submission when target is
 // self, an OpExec peer call (feeding the peer's breaker) otherwise.
-func (n *Node) runLeg(ctx context.Context, target string, hedge bool, key string, spec service.JobSpec, specJSON []byte, out chan<- legResult) {
+func (n *Node) runLeg(ctx context.Context, target string, hedge bool, key string, run *service.Resolved, specJSON []byte, out chan<- legResult) {
 	if target == n.cfg.Self {
-		res, err := n.svc.SubmitAndWait(ctx, spec)
+		res, err := n.svc.SubmitAndWait(ctx, run)
 		out <- legResult{hedge: hedge, local: true, res: res, err: err}
 		return
 	}
@@ -414,6 +419,7 @@ func (n *Node) finishForward(rj *remoteJob, r legResult, start time.Time, fallba
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	rj.run = nil // a retained record must not pin the instance
 	if r.err == nil {
 		switch {
 		case fallback:
@@ -486,11 +492,17 @@ func (n *Node) HandlePeer(ctx context.Context, req *PeerRequest) *PeerResponse {
 		}
 		return &PeerResponse{Status: StatusOK, Payload: payload}
 	case OpExec:
+		// The owner resolves the peer's spec itself: a node trusts no
+		// peer's normalization.
 		var spec service.JobSpec
 		if err := json.Unmarshal(req.Spec, &spec); err != nil {
 			return &PeerResponse{Status: StatusFailed, Err: fmt.Sprintf("decoding spec: %v", err)}
 		}
-		res, err := n.svc.SubmitAndWait(ctx, spec)
+		r, err := spec.Resolve()
+		if err != nil {
+			return &PeerResponse{Status: StatusFailed, Err: err.Error()}
+		}
+		res, err := n.svc.SubmitAndWait(ctx, r)
 		if err != nil {
 			if errors.Is(err, service.ErrOverloaded) {
 				return &PeerResponse{Status: StatusOverloaded, Err: err.Error()}
@@ -527,7 +539,7 @@ func remoteStatusLocked(rj *remoteJob) service.JobStatus {
 		State:     rj.state,
 		Engine:    "cluster",
 		Algorithm: "forward:" + rj.owner,
-		Priority:  rj.spec.Priority,
+		Priority:  rj.priority,
 		Deduped:   rj.deduped,
 	}
 	if rj.err != nil {

@@ -24,7 +24,9 @@ const keyDomain = "loss/v1"
 func init() { engine.Register(lossEngine{}) }
 
 // Params is the loss engine's JobSpec `params` payload: the multicast
-// tree and the per-probe receiver outcomes.
+// tree and the per-probe receiver outcomes. Normalize reads this shape
+// through wireParams, which decodes the probes straight into packed bits
+// and accepts exactly the JSON that decodes into Params.
 type Params struct {
 	// Parents is the tree as a parent array: parents[k] is node k's
 	// parent, with the single root marked by -1.
@@ -41,6 +43,13 @@ type lossEngine struct{}
 func (lossEngine) Name() string     { return EngineName }
 func (lossEngine) ObsLabel() string { return "loss" }
 
+// wireParams is Normalize's decode target: Params's wire shape, with
+// the probes decoded straight into packed bits.
+type wireParams struct {
+	Parents []int       `json:"parents"`
+	Probes  probeMatrix `json:"probes"`
+}
+
 // Normalize parses and validates the params payload and returns the
 // canonical job. The legacy flat selection fields must be unset — a
 // loss job is entirely described by its params — so a misrouted
@@ -55,7 +64,7 @@ func (lossEngine) Normalize(spec engine.Spec) (engine.Job, error) {
 	if len(spec.Params) == 0 {
 		return nil, fmt.Errorf("loss: missing params (need parents and probes)")
 	}
-	var p Params
+	var p wireParams
 	dec := json.NewDecoder(bytes.NewReader(spec.Params))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
@@ -65,27 +74,24 @@ func (lossEngine) Normalize(spec engine.Spec) (engine.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(p.Probes) == 0 {
+	if p.Probes.rows == 0 {
 		return nil, fmt.Errorf("loss: no probes")
 	}
 	recv := len(t.Leaves())
-	for i, row := range p.Probes {
-		if len(row) != recv {
-			return nil, fmt.Errorf("loss: probe %d has %d outcomes, tree has %d receivers", i, len(row), recv)
-		}
-		for j, v := range row {
-			if v != 0 && v != 1 {
-				return nil, fmt.Errorf("loss: probe %d outcome %d is %d, want 0 or 1", i, j, v)
-			}
-		}
+	if err := p.Probes.check(recv); err != nil {
+		return nil, err
 	}
-	return &lossJob{tree: t, params: p}, nil
+	return &lossJob{tree: t, words: p.Probes.stream(recv), rows: p.Probes.rows}, nil
 }
 
-// lossJob is one normalized loss-tomography job.
+// lossJob is one normalized loss-tomography job. Its probes are held
+// only as the key's stream: row-major, one bit per outcome, 64 per word,
+// MSB-first, with the last partial word right-aligned. Each row is as
+// wide as the tree has receivers.
 type lossJob struct {
-	tree   *Tree
-	params Params
+	tree  *Tree
+	words []uint64
+	rows  int
 }
 
 // Key hashes the canonical typed form of the job — parents and probe
@@ -99,27 +105,14 @@ func (j *lossJob) Key() string {
 		h.Write(buf[:])
 	}
 	h.Write([]byte(keyDomain))
-	u64(uint64(len(j.params.Parents)))
-	for _, p := range j.params.Parents {
+	u64(uint64(len(j.tree.parents)))
+	for _, p := range j.tree.parents {
 		// Signed parents (-1 root) in two's complement.
 		u64(uint64(int64(p)))
 	}
-	u64(uint64(len(j.params.Probes)))
-	// Probe rows are fixed-width (validated against the receiver count),
-	// packed 64 outcomes per word.
-	var word uint64
-	bits := 0
-	for _, row := range j.params.Probes {
-		for _, v := range row {
-			word = word<<1 | uint64(v)
-			if bits++; bits == 64 {
-				u64(word)
-				word, bits = 0, 0
-			}
-		}
-	}
-	if bits > 0 {
-		u64(word)
+	u64(uint64(j.rows))
+	for _, w := range j.words {
+		u64(w)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -129,7 +122,7 @@ func (j *lossJob) Detail() string { return "mle" }
 
 // CostHint scales with the fold work: nodes × probes.
 func (j *lossJob) CostHint() float64 {
-	return float64(j.tree.NumNodes()) * float64(len(j.params.Probes))
+	return float64(j.tree.NumNodes()) * float64(j.rows)
 }
 
 // Run folds every probe into a fresh estimator and solves the MLE. The
@@ -138,7 +131,8 @@ func (j *lossJob) CostHint() float64 {
 func (j *lossJob) Run(ctx context.Context, _ *obs.Registry) (engine.Result, error) {
 	e := NewEstimator(j.tree)
 	delivered := make([]bool, len(j.tree.Leaves()))
-	for i, row := range j.params.Probes {
+	n := j.rows * len(delivered)
+	for i := 0; i < j.rows; i++ {
 		// The fold is cheap per probe; check for cancellation at a
 		// coarse stride so huge panels stay interruptible.
 		if i&0x3ff == 0 {
@@ -146,8 +140,13 @@ func (j *lossJob) Run(ctx context.Context, _ *obs.Registry) (engine.Result, erro
 				return nil, fmt.Errorf("loss: canceled: %w", err)
 			}
 		}
-		for k, v := range row {
-			delivered[k] = v == 1
+		for k := range delivered {
+			p := i*len(delivered) + k
+			shift := 63 - p&63
+			if p>>6 == len(j.words)-1 && n%64 != 0 {
+				shift -= 64 - n%64 // the right-aligned last word
+			}
+			delivered[k] = j.words[p>>6]>>shift&1 == 1
 		}
 		if err := e.Observe(delivered); err != nil {
 			return nil, err

@@ -42,6 +42,13 @@ const DefaultMCRuns = 200
 // it; the limit is 16 times the benchmark job's 1000-scenario panel.
 const MaxMCRuns = 1 << 14
 
+// MaxLinks is the largest link count a scenario source may declare,
+// through links or through its probs. A source allocates per-link state
+// as it is built, before any other check can run, so without the limit
+// a 74-byte body naming 20 million links costs 800 MB. The limit is 67
+// times AS1239's 972 links.
+const MaxLinks = 1 << 16
+
 // mcStream is the RNG stream constant for engine Monte Carlo jobs, so a
 // job's scenario stream depends only on its spec seed.
 const mcStream = 0x5e1ec7
@@ -90,6 +97,9 @@ func (selEngine) Normalize(spec engine.Spec) (engine.Job, error) {
 		}
 		if p.Scenario == nil {
 			return nil, fmt.Errorf("service: selection params must name a scenario source")
+		}
+		if n := max(p.Scenario.Links, len(p.Scenario.Probs)); n > MaxLinks {
+			return nil, fmt.Errorf("service: scenario source has %d links, more than %d", n, MaxLinks)
 		}
 		src, err := failure.NewSource(*p.Scenario)
 		if err != nil {

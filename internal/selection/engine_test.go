@@ -3,6 +3,8 @@ package selection
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"robusttomo/internal/engine"
@@ -223,5 +225,39 @@ func TestSelectionResultClone(t *testing.T) {
 	c.Selected[0] = -1
 	if r.Selected[0] == -1 {
 		t.Fatal("mutating the clone reached the original")
+	}
+}
+
+// TestSelectionScenarioLinksBounded: the 74-byte params naming 20 million
+// links fail on the limit before the source allocates per-link state
+// (800 MB and seconds of work without it), and a source at the limit
+// gets past it.
+func TestSelectionScenarioLinksBounded(t *testing.T) {
+	e, err := engine.Lookup(EngineName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"scenario":{"source":"bernoulli","links":20000000,"expected_failures":2}}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = e.Normalize(engine.Spec{Params: []byte(body)})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "more than 65536") {
+		t.Fatalf("Normalize = %v, want the %d-link limit", err, MaxLinks)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the body allocated %d bytes", grew)
+	}
+	for _, params := range []string{
+		`{"scenario":{"source":"bernoulli","links":65537,"expected_failures":2}}`,
+		`{"scenario":{"source":"bernoulli","probs":[` + strings.Repeat("0.1,", MaxLinks) + `0.1]}}`,
+	} {
+		if _, err := e.Normalize(engine.Spec{Params: []byte(params)}); err == nil || !strings.Contains(err.Error(), "more than") {
+			t.Fatalf("Normalize of %.60s... = %v, want the link limit", params, err)
+		}
+	}
+	atLimit := `{"scenario":{"source":"bernoulli","links":65536,"expected_failures":2}}`
+	if _, err := e.Normalize(engine.Spec{Params: []byte(atLimit)}); err == nil || strings.Contains(err.Error(), "more than") {
+		t.Fatalf("Normalize at the limit = %v, want it past the limit (failing on paths)", err)
 	}
 }

@@ -114,11 +114,11 @@ func TestLegacyCachedResultsMatchDirectRun(t *testing.T) {
 			spec.MCRuns = 32
 			spec.Seed = 2014
 
-			_, ej, err := spec.resolve()
+			r, err := spec.Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := ej.Run(t.Context(), nil)
+			direct, err := r.ej.Run(t.Context(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

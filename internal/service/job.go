@@ -93,23 +93,35 @@ type JobSpec struct {
 	Priority int `json:"priority,omitempty"`
 }
 
-// resolve routes the spec to its engine — by name, or through the
-// legacy algorithm mapping — and normalizes it into a runnable job.
-// Unknown engine names fail with *engine.UnknownEngineError, whose
-// message lists the registered engines.
-func (spec JobSpec) resolve() (engine.Engine, engine.Job, error) {
+// Resolved is a JobSpec routed to its engine and normalized, with its
+// key: everything a node needs to place, answer or enqueue the job.
+// JobSpec.Resolve is the only way to make one, so a node normalizes a
+// submission once and hands the result along (DESIGN.md §16).
+type Resolved struct {
+	spec JobSpec
+	eng  engine.Engine
+	ej   engine.Job
+	key  string
+}
+
+// Resolve routes the spec to its engine — by name, or through the
+// legacy algorithm mapping — normalizes it into a runnable job and
+// computes the job's content-addressed key. Unknown engine names fail
+// with *engine.UnknownEngineError, whose message lists the registered
+// engines.
+func (spec JobSpec) Resolve() (*Resolved, error) {
 	name := spec.Engine
 	if name == "" {
 		mapped, ok := legacyEngines[spec.Algorithm]
 		if !ok {
-			return nil, nil, fmt.Errorf("service: unknown algorithm %q (probrome, monterome, matrome, selectpath; or set engine to one of: %s)",
+			return nil, fmt.Errorf("service: unknown algorithm %q (probrome, monterome, matrome, selectpath; or set engine to one of: %s)",
 				spec.Algorithm, strings.Join(engine.Engines(), ", "))
 		}
 		name = mapped
 	}
 	eng, err := engine.Lookup(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	j, err := eng.Normalize(engine.Spec{
 		Engine:    name,
@@ -124,22 +136,26 @@ func (spec JobSpec) resolve() (engine.Engine, engine.Job, error) {
 		Seed:      spec.Seed,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return eng, j, nil
+	return &Resolved{spec: spec, eng: eng, ej: j, key: j.Key()}, nil
 }
 
+// Key returns the job's content-addressed ID.
+func (r *Resolved) Key() string { return r.key }
+
+// Spec returns the spec as submitted.
+func (r *Resolved) Spec() JobSpec { return r.spec }
+
 // CanonicalKey resolves the spec through its engine and returns the
-// content-addressed job ID (the cluster plane's forward hook: a node
-// must know the key — and hence the owning shard — before deciding
-// whether to run the job locally at all). It fails exactly where Submit
-// would fail synchronously: invalid specs and unknown engines.
+// content-addressed job ID. It fails exactly where Submit would fail
+// synchronously: invalid specs and unknown engines.
 func (spec JobSpec) CanonicalKey() (string, error) {
-	_, ej, err := spec.resolve()
+	r, err := spec.Resolve()
 	if err != nil {
 		return "", err
 	}
-	return ej.Key(), nil
+	return r.Key(), nil
 }
 
 // JobState is a job's position in the lifecycle state machine

@@ -102,11 +102,10 @@ type Config struct {
 // job is the internal record behind one content-addressed job ID.
 type job struct {
 	id       string
-	spec     JobSpec    // as submitted (the engine holds the normalized form)
-	ej       engine.Job // normalized, runnable
-	eng      string     // engine name
-	obsLabel string     // engine obs label, for metrics and events
-	detail   string     // engine job detail, echoed in status
+	run      *Resolved // the submitted spec and its runnable job; nil once terminal
+	eng      string    // engine name
+	obsLabel string    // engine obs label, for metrics and events
+	detail   string    // engine job detail, echoed in status
 	priority int
 	seq      uint64
 
@@ -246,48 +245,30 @@ func eventDetail(label, id string) string { return label + " " + shortKey(id) }
 // invalid specs and unknown engines (*engine.UnknownEngineError) fail
 // synchronously.
 func (s *Service) Submit(spec JobSpec) (SubmitOutcome, error) {
-	eng, ej, err := spec.resolve()
+	r, err := spec.Resolve()
 	if err != nil {
 		return SubmitOutcome{}, err
 	}
-	key := ej.Key()
+	return s.SubmitResolved(r)
+}
 
+// SubmitResolved is Submit for a spec the caller has already resolved
+// (the cluster plane resolves once to find the owning shard).
+func (s *Service) SubmitResolved(r *Resolved) (SubmitOutcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return SubmitOutcome{}, ErrClosed
 	}
-	// Singleflight: an identical job already queued or running absorbs
-	// this submission; a retained completed job answers it outright.
-	if j, ok := s.jobs[key]; ok && j.state != StateFailed && j.state != StateCanceled {
-		s.submitted++
-		s.m.submitted.Inc()
-		if j.state == StateDone {
-			s.hits++
-			s.m.cacheHits.Inc()
-			return SubmitOutcome{ID: key, State: StateDone, Cached: true}, nil
-		}
-		j.deduped++
-		s.dedup++
-		s.m.dedupHits.Inc()
-		return SubmitOutcome{ID: key, State: j.state, Deduped: true}, nil
-	}
-	if res, ok := s.cache.get(key); ok {
-		s.submitted++
-		s.m.submitted.Inc()
-		s.hits++
-		s.m.cacheHits.Inc()
-		j := &job{id: key, spec: spec, ej: ej, eng: eng.Name(), obsLabel: eng.ObsLabel(), detail: ej.Detail(),
-			priority: spec.Priority, state: StateDone, res: res, cached: true, done: make(chan struct{})}
-		close(j.done)
-		s.rememberLocked(j)
-		return SubmitOutcome{ID: key, State: StateDone, Cached: true}, nil
+	if out, ok := s.answerLocked(r); ok {
+		return out, nil
 	}
 	// Cold: shed or enqueue.
+	key := r.key
 	if len(s.queue) >= s.cfg.QueueDepth {
 		s.shed++
 		s.m.shed.Inc()
-		s.reg.Event("service.job_shed", eventDetail(eng.ObsLabel(), key))
+		s.reg.Event("service.job_shed", eventDetail(r.eng.ObsLabel(), key))
 		return SubmitOutcome{}, &OverloadError{Depth: len(s.queue), RetryAfter: s.cfg.RetryAfter}
 	}
 	s.submitted++
@@ -295,63 +276,73 @@ func (s *Service) Submit(spec JobSpec) (SubmitOutcome, error) {
 	s.misses++
 	s.m.cacheMiss.Inc()
 	s.seq++
-	j := &job{id: key, spec: spec, ej: ej, eng: eng.Name(), obsLabel: eng.ObsLabel(), detail: ej.Detail(),
-		priority: spec.Priority, seq: s.seq, state: StateQueued, done: make(chan struct{})}
+	j := newJob(r, StateQueued)
+	j.seq = s.seq
 	s.jobs[key] = j
 	s.queue.push(j)
 	if d := len(s.queue); d > s.maxDepth {
 		s.maxDepth = d
 	}
 	s.m.queueDepth.Set(float64(len(s.queue)))
-	s.m.costHint.With(j.obsLabel).Observe(ej.CostHint())
+	s.m.costHint.With(j.obsLabel).Observe(r.ej.CostHint())
 	s.reg.Event("service.job_enqueued", eventDetail(j.obsLabel, key))
 	s.cond.Signal()
 	return SubmitOutcome{ID: key, State: StateQueued}, nil
 }
 
-// SubmitCached is the probe-only variant of Submit, the non-owner half
-// of the cluster plane's cache-fill protocol: answer spec from the
-// retained jobs, an identical in-flight job, or the result cache — but
-// never enqueue. It returns ok=false (with no counters touched) when
-// answering would require a new execution, so the caller can forward
-// the job to its owning shard instead.
-func (s *Service) SubmitCached(spec JobSpec) (SubmitOutcome, bool, error) {
-	eng, ej, err := spec.resolve()
-	if err != nil {
-		return SubmitOutcome{}, false, err
-	}
-	key := ej.Key()
-
+// SubmitCached is the probe-only variant of SubmitResolved, the
+// non-owner half of the cluster plane's cache-fill protocol: answer the
+// job from the retained jobs, an identical in-flight job, or the result
+// cache — but never enqueue. It returns ok=false (with no counters
+// touched) when answering would require a new execution, so the caller
+// can forward the job to its owning shard instead.
+func (s *Service) SubmitCached(r *Resolved) (SubmitOutcome, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return SubmitOutcome{}, false, ErrClosed
 	}
+	out, ok := s.answerLocked(r)
+	return out, ok, nil
+}
+
+// answerLocked answers r without a new execution when it can.
+// Singleflight: an identical job already queued or running absorbs the
+// submission; a retained completed job or a cached result answers it
+// outright.
+func (s *Service) answerLocked(r *Resolved) (SubmitOutcome, bool) {
+	key := r.key
 	if j, ok := s.jobs[key]; ok && j.state != StateFailed && j.state != StateCanceled {
 		s.submitted++
 		s.m.submitted.Inc()
 		if j.state == StateDone {
 			s.hits++
 			s.m.cacheHits.Inc()
-			return SubmitOutcome{ID: key, State: StateDone, Cached: true}, true, nil
+			return SubmitOutcome{ID: key, State: StateDone, Cached: true}, true
 		}
 		j.deduped++
 		s.dedup++
 		s.m.dedupHits.Inc()
-		return SubmitOutcome{ID: key, State: j.state, Deduped: true}, true, nil
+		return SubmitOutcome{ID: key, State: j.state, Deduped: true}, true
 	}
 	if res, ok := s.cache.get(key); ok {
 		s.submitted++
 		s.m.submitted.Inc()
 		s.hits++
 		s.m.cacheHits.Inc()
-		j := &job{id: key, spec: spec, ej: ej, eng: eng.Name(), obsLabel: eng.ObsLabel(), detail: ej.Detail(),
-			priority: spec.Priority, state: StateDone, res: res, cached: true, done: make(chan struct{})}
+		j := newJob(r, StateDone)
+		j.res, j.cached = res, true
 		close(j.done)
 		s.rememberLocked(j)
-		return SubmitOutcome{ID: key, State: StateDone, Cached: true}, true, nil
+		return SubmitOutcome{ID: key, State: StateDone, Cached: true}, true
 	}
-	return SubmitOutcome{}, false, nil
+	return SubmitOutcome{}, false
+}
+
+// newJob makes the record for a resolved submission.
+func newJob(r *Resolved, state JobState) *job {
+	return &job{id: r.key, run: r, eng: r.eng.Name(), obsLabel: r.eng.ObsLabel(), detail: r.ej.Detail(),
+		priority: r.spec.Priority, state: state, done: make(chan struct{})}
 }
 
 // CachedResult returns a clone of the result cached (or retained) under
@@ -399,12 +390,12 @@ func (s *Service) Fill(key string, res engine.Result) bool {
 	return true
 }
 
-// SubmitAndWait submits spec, waits for its terminal state (or ctx) and
-// returns the completed result — the synchronous convenience the
-// cluster peer handler and local-fallback path run on. Failed and
+// SubmitAndWait submits a resolved job, waits for its terminal state (or
+// ctx) and returns the completed result — the synchronous convenience
+// the cluster peer handler and local-fallback path run on. Failed and
 // canceled jobs surface their recorded error.
-func (s *Service) SubmitAndWait(ctx context.Context, spec JobSpec) (engine.Result, error) {
-	out, err := s.Submit(spec)
+func (s *Service) SubmitAndWait(ctx context.Context, r *Resolved) (engine.Result, error) {
+	out, err := s.SubmitResolved(r)
 	if err != nil {
 		return nil, err
 	}
@@ -446,11 +437,11 @@ func (s *Service) worker() {
 		s.mu.Unlock()
 
 		if s.cfg.BeforeRun != nil {
-			s.cfg.BeforeRun(j.spec)
+			s.cfg.BeforeRun(j.run.spec)
 		}
 		s.reg.Event("service.job_started", eventDetail(j.obsLabel, j.id))
 		span := s.reg.StartSpan("service.job_run")
-		res, err := j.ej.Run(ctx, s.reg)
+		res, err := j.run.ej.Run(ctx, s.reg)
 		dur := span.EndDetail(eventDetail(j.obsLabel, j.id))
 		cancel()
 
@@ -503,8 +494,11 @@ func (s *Service) syncEvictionsLocked() {
 
 // rememberLocked records a terminal job for later Status/Result lookups
 // and trims retention to the configured bound. Queued/running jobs never
-// enter the retained list, so they are never evicted.
+// enter the retained list, so they are never evicted. A terminal record
+// drops its spec and normalized job: only the worker reads them, before
+// the job ends, and a retained record must not pin its instance.
 func (s *Service) rememberLocked(j *job) {
+	j.run = nil
 	s.jobs[j.id] = j
 	s.retained = append(s.retained, j)
 	for len(s.retained) > s.cfg.RetainJobs {

@@ -693,3 +693,59 @@ func TestServiceObservability(t *testing.T) {
 		}
 	}
 }
+
+// TestTerminalRecordsDropInstance: a retained record keeps its status
+// and result but not the submitted spec or the normalized job, whether
+// it ran, was canceled in the queue, or was answered from the cache.
+// Up to RetainJobs records stay addressable, and each would otherwise
+// pin a whole instance.
+func TestTerminalRecordsDropInstance(t *testing.T) {
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s := New(Config{Workers: 1, QueueDepth: 8, RetainJobs: 2, BeforeRun: blockFirst(started, release)})
+	defer closeNow(t, s)
+	dropped := func(id string) {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		j := s.jobs[id]
+		if j == nil || !j.state.Terminal() {
+			t.Fatalf("job %s not retained as terminal: %+v", shortKey(id), j)
+		}
+		if j.run != nil {
+			t.Errorf("terminal %s record %s still holds its spec and job", j.state, shortKey(id))
+		}
+	}
+	ran, err := s.Submit(testSpec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := s.Submit(testSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	dropped(queued.ID)
+	close(release)
+	waitDone(t, s, ran.ID)
+	dropped(ran.ID)
+	// Push the run record out of retention, then hit its cached result.
+	for n := 2; n < 4; n++ {
+		out, err := s.Submit(testSpec(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, s, out.ID)
+	}
+	hit, err := s.Submit(testSpec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached {
+		t.Fatalf("resubmission not a cache hit: %+v", hit)
+	}
+	dropped(hit.ID)
+}

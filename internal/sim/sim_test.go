@@ -239,14 +239,19 @@ func exampleSrcOf(pm *tomo.PathMatrix) func(int) string {
 
 // exampleMonitors starts one TCP monitor per example-network monitor node,
 // answering from r's oracle, and returns the NOC address map. The monitor
-// named dead is closed at once (its address stays in the map, so dials
-// are refused); wrap, when non-nil, wraps every listener.
+// named dead is not started: its address is 127.0.0.1:1, where nothing
+// listens (a just-closed ephemeral port could be rebound by a test in a
+// parallel package). wrap, when non-nil, wraps every listener.
 func exampleMonitors(t *testing.T, r *Runner, dead string, wrap func(net.Listener) net.Listener) map[string]string {
 	t.Helper()
 	ex := topo.NewExample()
 	addrs := map[string]string{}
 	for _, mn := range ex.Monitors {
 		name := ex.Graph.Label(mn)
+		if name == dead {
+			addrs[name] = "127.0.0.1:1"
+			continue
+		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -259,11 +264,7 @@ func exampleMonitors(t *testing.T, r *Runner, dead string, wrap func(net.Listene
 			t.Fatal(err)
 		}
 		addrs[name] = mon.Addr()
-		if name == dead {
-			mon.Close()
-		} else {
-			t.Cleanup(func() { mon.Close() })
-		}
+		t.Cleanup(func() { mon.Close() })
 	}
 	return addrs
 }
