@@ -141,12 +141,13 @@ fuzz: fuzz-smoke
 # -fuzz pattern per invocation, hence one line per target). Each target
 # ships a seed corpus via f.Add, so even -fuzztime 0 replays the known
 # tricky frames. Targets: the sparse-basis vs exact big.Rat rank
-# differential, the scenario-source contract invariants, the edge-list and
-# weight parsers, the canonical cache-key encoder, the loss engine's packed
-# probe decoder against encoding/json, and the agent and cluster wire
-# codecs.
+# differential, tomo.System against an exact big.Rat solution, the
+# scenario-source contract invariants, the edge-list and weight parsers,
+# the canonical cache-key encoder, the loss engine's packed probe decoder
+# against encoding/json, and the agent and cluster wire codecs.
 fuzz-smoke:
 	$(call gate-fuzz,./internal/linalg/,FuzzSparseVsExactRank)
+	$(call gate-fuzz,./internal/tomo/,FuzzSystemVsExact)
 	$(call gate-fuzz,./internal/failure/,FuzzScenarioSource)
 	$(call gate-fuzz,./internal/graph/,FuzzReadEdgeList)
 	$(call gate-fuzz,./internal/topo/,FuzzLoadWeights)

@@ -443,22 +443,38 @@ func TestAPIUnknownEngineLists400(t *testing.T) {
 	}
 }
 
-// TestAPIScenarioLinksBounded posts a selection job whose 74-byte params
-// name 20 million scenario links: the daemon must refuse it with 400
-// before building the source.
+// TestAPIScenarioLinksBounded posts two selection jobs the daemon must
+// refuse with a 400 naming the limit before it allocates: 74-byte params
+// naming 20 million scenario links (MaxLinks), and a 40 KB body of 10,000
+// one-link paths over a 65,536-link source, whose path matrix alone would
+// take 5.2 GB (MaxPathCells).
 func TestAPIScenarioLinksBounded(t *testing.T) {
 	base, _, stop := startAPIServer(t, nil)
 	defer stop()
 
-	var apiErr apiError
-	code, _ := doJSON(t, http.MethodPost, base+"/api/v1/jobs", service.JobSpec{
-		Engine: selection.EngineName,
-		Params: json.RawMessage(`{"scenario":{"source":"bernoulli","links":20000000,"expected_failures":2}}`),
-	}, &apiErr)
-	if code != http.StatusBadRequest {
-		t.Fatalf("20M-link scenario returned %d, want 400", code)
+	paths := make([][]int, 10000)
+	for i := range paths {
+		paths[i] = []int{i % 4}
 	}
-	if want := strconv.Itoa(selection.MaxLinks); !strings.Contains(apiErr.Error, want) {
-		t.Fatalf("400 body %q does not name the limit %s", apiErr.Error, want)
+	for _, tc := range []struct {
+		params string
+		paths  [][]int
+		limit  int
+	}{
+		{`{"scenario":{"source":"bernoulli","links":20000000,"expected_failures":2}}`, nil, selection.MaxLinks},
+		{`{"scenario":{"source":"bernoulli","links":65536,"expected_failures":2}}`, paths, selection.MaxPathCells},
+	} {
+		var apiErr apiError
+		code, _ := doJSON(t, http.MethodPost, base+"/api/v1/jobs", service.JobSpec{
+			Engine: selection.EngineName,
+			Params: json.RawMessage(tc.params),
+			Paths:  tc.paths,
+		}, &apiErr)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s with %d paths returned %d, want 400", tc.params, len(tc.paths), code)
+		}
+		if want := strconv.Itoa(tc.limit); !strings.Contains(apiErr.Error, want) {
+			t.Fatalf("400 body %q does not name the limit %s", apiErr.Error, want)
+		}
 	}
 }

@@ -134,14 +134,14 @@ func TestBasisInsertionOrderIndependence(t *testing.T) {
 		{0, 1, 0, 0},
 		{1, 0, 1, 1},
 	})
-	wantDep := Rank(m) == 3
+	wantDep := RankExact(m) == 3
 	if dep != wantDep {
 		t.Fatalf("Dependent = %v, rank oracle says %v", dep, wantDep)
 	}
 }
 
-// Property: SparseBasis.Rank after adding all rows equals matrix Rank, for random
-// 0/1 matrices, under any insertion order.
+// Property: SparseBasis.Rank after adding all rows equals the exact matrix
+// rank, for random 0/1 matrices, under any insertion order.
 func TestBasisMatchesMatrixRank(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 41))
@@ -153,7 +153,7 @@ func TestBasisMatchesMatrixRank(t *testing.T) {
 		for _, i := range order {
 			b.Add(sparse(m.Row(i)))
 		}
-		return b.Rank() == Rank(m)
+		return b.Rank() == RankExact(m)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestBasisSupportSpansVector(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if Rank(withV) != Rank(withoutV) {
+			if RankExact(withV) != RankExact(withoutV) {
 				return false
 			}
 		}
@@ -243,7 +243,7 @@ func TestBasisSupportMinimal(t *testing.T) {
 					return false
 				}
 				// v must NOT be in the span of the reduced support.
-				if Rank(m) == len(rows)-1 {
+				if RankExact(m) == len(rows)-1 {
 					return false
 				}
 			}

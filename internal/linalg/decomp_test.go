@@ -18,8 +18,8 @@ func TestPivotedCholeskyRowsSelectsBasis(t *testing.T) {
 		t.Fatalf("selected %v, want 3 rows", sel)
 	}
 	sub := m.SelectRows(sel)
-	if Rank(sub) != 3 {
-		t.Fatalf("selected rows have rank %d, want 3", Rank(sub))
+	if RankExact(sub) != 3 {
+		t.Fatalf("selected rows have rank %d, want 3", RankExact(sub))
 	}
 	// The largest-norm row (row 2) is the first pivot even though it is a
 	// combination of rows 0 and 1 — any maximal independent set is valid.
@@ -50,13 +50,13 @@ func TestPivotedCholeskyRank(t *testing.T) {
 		cols := 1 + rng.IntN(10)
 		m := randomBinaryMatrix(rng, rows, cols, 0.4)
 		sel := PivotedCholeskyRows(m, 1e-7)
-		if len(sel) != Rank(m) {
+		if len(sel) != RankExact(m) {
 			return false
 		}
 		if len(sel) == 0 {
 			return true
 		}
-		return Rank(m.SelectRows(sel)) == len(sel)
+		return RankExact(m.SelectRows(sel)) == len(sel)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

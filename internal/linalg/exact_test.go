@@ -2,9 +2,31 @@ package linalg
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// sparseRank is the rank a support-tracking SparseBasis reaches on the rows
+// of m, added in order.
+func sparseRank(m *Matrix) int {
+	b := NewSparseBasis(m.Cols())
+	for i := 0; i < m.Rows(); i++ {
+		b.Add(sparse(m.Row(i)))
+	}
+	return b.Rank()
+}
+
+// transpose returns mᵀ.
+func transpose(m *Matrix) *Matrix {
+	t := NewMatrix(m.Cols(), m.Rows())
+	for i := 0; i < m.Rows(); i++ {
+		for j := 0; j < m.Cols(); j++ {
+			t.Set(j, i, m.At(i, j))
+		}
+	}
+	return t
+}
 
 func TestRankKnownMatrices(t *testing.T) {
 	cases := []struct {
@@ -36,8 +58,8 @@ func TestRankKnownMatrices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := Rank(m); got != tc.want {
-				t.Errorf("Rank = %d, want %d", got, tc.want)
+			if got := sparseRank(m); got != tc.want {
+				t.Errorf("SparseBasis rank = %d, want %d", got, tc.want)
 			}
 			if got := RankExact(m); got != tc.want {
 				t.Errorf("RankExact = %d, want %d", got, tc.want)
@@ -48,20 +70,22 @@ func TestRankKnownMatrices(t *testing.T) {
 
 func TestRankDoesNotMutate(t *testing.T) {
 	m := mustFromRows(t, [][]float64{{1, 2}, {3, 4}})
-	Rank(m)
-	if m.At(1, 0) != 3 {
-		t.Fatal("Rank mutated input")
+	RankExact(m)
+	sparseRank(m)
+	if m.At(0, 0) != 1 || m.At(0, 1) != 2 || m.At(1, 0) != 3 || m.At(1, 1) != 4 {
+		t.Fatalf("rank mutated its input:\n%v", m)
 	}
 }
 
-// Property: float rank matches exact rational rank on random 0/1 matrices.
+// Property: the sparse basis rank matches exact rational rank on random
+// 0/1 matrices.
 func TestRankMatchesExactRandom(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 11))
 		rows := 1 + rng.IntN(12)
 		cols := 1 + rng.IntN(12)
 		m := randomBinaryMatrix(rng, rows, cols, 0.4)
-		return Rank(m) == RankExact(m)
+		return sparseRank(m) == RankExact(m)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -75,11 +99,11 @@ func TestRankProperties(t *testing.T) {
 		rows := 1 + rng.IntN(10)
 		cols := 1 + rng.IntN(10)
 		m := randomBinaryMatrix(rng, rows, cols, 0.5)
-		r := Rank(m)
+		r := sparseRank(m)
 		if r > rows || r > cols {
 			return false
 		}
-		return Rank(m.Transpose()) == r
+		return sparseRank(transpose(m)) == r && RankExact(transpose(m)) == r
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -103,50 +127,41 @@ func TestRankSubadditive(t *testing.T) {
 		for i := 0; i < rb; i++ {
 			copy(stacked.Row(ra+i), b.Row(i))
 		}
-		rs, raa, rbb := Rank(stacked), Rank(a), Rank(b)
-		if rs > raa+rbb {
-			return false
-		}
-		if rs < raa || rs < rbb {
-			return false
-		}
-		return true
+		rs, raa, rbb := sparseRank(stacked), sparseRank(a), sparseRank(b)
+		return rs <= raa+rbb && rs >= raa && rs >= rbb
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// The basis keeps its rows in reduced row echelon form: each pivot is 1,
+// every other row is 0 in that column, and a dependent row stores nothing.
 func TestRREFBasics(t *testing.T) {
-	m := mustFromRows(t, [][]float64{
-		{1, 1, 0},
-		{0, 1, 1},
-		{1, 2, 1}, // dependent
-	})
-	red, pivots := RREF(m, DefaultTol)
-	if len(pivots) != 2 {
-		t.Fatalf("pivots = %v, want 2", pivots)
+	b := NewSparseBasis(3)
+	for _, v := range [][]float64{{1, 1, 0}, {0, 1, 1}, {1, 2, 1}} {
+		b.Add(sparse(v))
 	}
-	// Pivot rows should be e1-ish: [1 0 -1] and [0 1 1].
-	if red.At(0, 0) != 1 || red.At(0, 1) != 0 || red.At(0, 2) != -1 {
-		t.Errorf("row 0 = %v", red.Row(0))
+	want := [][]float64{{1, 0, -1}, {0, 1, 1}}
+	if b.Rank() != len(want) {
+		t.Fatalf("rank %d, want %d", b.Rank(), len(want))
 	}
-	if red.At(1, 0) != 0 || red.At(1, 1) != 1 || red.At(1, 2) != 1 {
-		t.Errorf("row 1 = %v", red.Row(1))
-	}
-	for j := 0; j < 3; j++ {
-		if red.At(2, j) != 0 {
-			t.Errorf("dependent row not zeroed: %v", red.Row(2))
+	for r := range want {
+		got := make([]float64, 3)
+		for k, c := range b.rows[r].cols {
+			got[c] = b.rows[r].vals[k]
+		}
+		if !slices.Equal(got, want[r]) {
+			t.Errorf("row %d = %v, want %v", r, got, want[r])
 		}
 	}
 }
 
 func TestInRowSpace(t *testing.T) {
-	m := mustFromRows(t, [][]float64{
-		{1, 1, 0},
-		{0, 1, 1},
-	})
-	red, pivots := RREF(m, DefaultTol)
+	b := NewSparseBasis(3)
+	b.Add(sparse([]float64{1, 1, 0}))
+	b.Add(sparse([]float64{0, 1, 1}))
+	ws := NewWorkspace(3)
 	cases := []struct {
 		v    []float64
 		want bool
@@ -160,26 +175,31 @@ func TestInRowSpace(t *testing.T) {
 		{[]float64{0, 0, 1}, false},
 	}
 	for _, tc := range cases {
-		if got := InRowSpace(red, pivots, tc.v, DefaultTol); got != tc.want {
-			t.Errorf("InRowSpace(%v) = %v, want %v", tc.v, got, tc.want)
+		cols, vals := sparse(tc.v)
+		if got := b.InSpanWith(cols, vals, ws); got != tc.want {
+			t.Errorf("InSpanWith(%v) = %v, want %v", tc.v, got, tc.want)
 		}
 	}
 }
 
-// Property: every original row is in the row space of its own RREF, and the
-// number of pivots equals the rank.
+// Property: every row lies in the span of the basis built from all rows,
+// and the basis rank equals the exact rank.
 func TestRREFConsistency(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 31))
 		rows := 1 + rng.IntN(10)
 		cols := 1 + rng.IntN(10)
 		m := randomBinaryMatrix(rng, rows, cols, 0.45)
-		red, pivots := RREF(m, DefaultTol)
-		if len(pivots) != Rank(m) {
+		b := NewSparseBasis(cols)
+		for i := 0; i < rows; i++ {
+			b.Add(sparse(m.Row(i)))
+		}
+		if b.Rank() != RankExact(m) {
 			return false
 		}
+		ws := NewWorkspace(cols)
 		for i := 0; i < rows; i++ {
-			if !InRowSpace(red, pivots, m.Row(i), 1e-7) {
+			if cols, vals := sparse(m.Row(i)); !b.InSpanWith(cols, vals, ws) {
 				return false
 			}
 		}

@@ -1,11 +1,11 @@
 // Package linalg implements the linear algebra needed for network
-// tomography path matrices: rank by Gaussian elimination, reduced row
-// echelon form, pivoted Cholesky row selection (the SelectPath baseline's
-// basis extraction), SparseBasis — the one incremental row basis, which
-// tracks dependency coefficients for the paper's probabilistic ER bound and
-// runs rank-only for the Monte Carlo oracles and MatRoMe — and an exact
-// big.Rat rank (RankExact) that the floating-point kernels are tested
-// against.
+// tomography path matrices: SparseBasis — the one float64 elimination, an
+// incremental row basis that tracks dependency coefficients for the
+// paper's probabilistic ER bound and for solving link metrics, and runs
+// rank-only for the Monte Carlo oracles and MatRoMe — pivoted Cholesky row
+// selection on a dense Matrix (the SelectPath baseline's basis
+// extraction), and an exact big.Rat rank (RankExact) that the
+// floating-point code is tested against.
 //
 // Path matrices are 0/1 and modest in size (thousands of rows, around a
 // thousand columns), so float64 arithmetic with a fixed absolute tolerance
@@ -72,47 +72,12 @@ func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 // Row returns a mutable view of row i (no copy).
 func (m *Matrix) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
 // SelectRows returns a new matrix consisting of the given rows of m, in the
 // given order. Row indices may repeat.
 func (m *Matrix) SelectRows(idx []int) *Matrix {
 	out := NewMatrix(len(idx), m.cols)
 	for i, r := range idx {
 		copy(out.Row(i), m.Row(r))
-	}
-	return out
-}
-
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// MulVec returns m·x. It panics if len(x) != Cols(), a programming error.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("linalg: MulVec dim %d != %d", len(x), m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		sum := 0.0
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		out[i] = sum
 	}
 	return out
 }

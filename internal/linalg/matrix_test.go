@@ -63,43 +63,12 @@ func TestSetAtRow(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	m := mustFromRows(t, [][]float64{{1, 2}, {3, 4}})
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) == 99 {
-		t.Fatal("Clone shares storage")
-	}
-}
-
 func TestSelectRows(t *testing.T) {
 	m := mustFromRows(t, [][]float64{{1, 0}, {0, 1}, {1, 1}})
 	s := m.SelectRows([]int{2, 0, 2})
 	if s.Rows() != 3 || s.At(0, 1) != 1 || s.At(1, 0) != 1 || s.At(1, 1) != 0 {
 		t.Fatalf("SelectRows wrong: %v", s)
 	}
-}
-
-func TestTranspose(t *testing.T) {
-	m := mustFromRows(t, [][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.Transpose()
-	if tr.Rows() != 3 || tr.Cols() != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Fatalf("Transpose wrong:\n%v", tr)
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	m := mustFromRows(t, [][]float64{{1, 0, 2}, {0, 3, 0}})
-	y := m.MulVec([]float64{1, 2, 3})
-	if y[0] != 7 || y[1] != 6 {
-		t.Fatalf("MulVec = %v", y)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dim mismatch should panic")
-		}
-	}()
-	m.MulVec([]float64{1})
 }
 
 func TestStringForms(t *testing.T) {

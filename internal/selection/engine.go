@@ -49,6 +49,29 @@ const MaxMCRuns = 1 << 14
 // times AS1239's 972 links.
 const MaxLinks = 1 << 16
 
+// MaxPathCells is the largest path matrix, len(paths) × links, a selection
+// job may ask for. Run allocates a float64 per cell before any greedy
+// step, so without the limit a 40 KB body naming 10,000 one-link paths
+// over a 65,536-link scenario source asks for 5.2 GB. The limit is 16
+// times the benchmark's AS3257/1600 ProbRoMe job (524,800 cells).
+const MaxPathCells = 1 << 23
+
+// MaxPathRuns is the largest len(paths) × mc_runs a monterome job may ask
+// for. The Monte Carlo oracle keeps one mc_runs-bit survival mask per
+// path, so the 2.1 million one-link paths an 8 MiB body holds would ask
+// for 4.3 GB at MaxMCRuns. The limit is 21 times the benchmark's
+// AS1755/400 MonteRoMe job (400,000 path-runs).
+const MaxPathRuns = 1 << 23
+
+// checkProduct rejects paths × per above limit. It divides instead of
+// multiplying, so no declared size can overflow the test.
+func checkProduct(paths, per int, what string, limit int64) error {
+	if paths > 0 && int64(per) > limit/int64(paths) {
+		return fmt.Errorf("service: %d paths × %d %s is more than %d", paths, per, what, limit)
+	}
+	return nil
+}
+
 // mcStream is the RNG stream constant for engine Monte Carlo jobs, so a
 // job's scenario stream depends only on its spec seed.
 const mcStream = 0x5e1ec7
@@ -98,8 +121,12 @@ func (selEngine) Normalize(spec engine.Spec) (engine.Job, error) {
 		if p.Scenario == nil {
 			return nil, fmt.Errorf("service: selection params must name a scenario source")
 		}
-		if n := max(p.Scenario.Links, len(p.Scenario.Probs)); n > MaxLinks {
+		n := max(p.Scenario.Links, len(p.Scenario.Probs))
+		if n > MaxLinks {
 			return nil, fmt.Errorf("service: scenario source has %d links, more than %d", n, MaxLinks)
+		}
+		if err := checkProduct(len(spec.Paths), n, "links", MaxPathCells); err != nil {
+			return nil, err
 		}
 		src, err := failure.NewSource(*p.Scenario)
 		if err != nil {
@@ -122,6 +149,36 @@ func (selEngine) Normalize(spec engine.Spec) (engine.Job, error) {
 	}
 	if len(spec.Paths) == 0 {
 		return nil, fmt.Errorf("service: no candidate paths")
+	}
+	if err := checkProduct(len(spec.Paths), spec.Links, "links", MaxPathCells); err != nil {
+		return nil, err
+	}
+	if spec.Algorithm == "" {
+		spec.Algorithm = AlgProbRoMe
+	}
+	switch spec.Algorithm {
+	case AlgMonteRoMe:
+		if spec.MCRuns == 0 {
+			spec.MCRuns = DefaultMCRuns
+		}
+		if spec.MCRuns < 0 || spec.MCRuns > MaxMCRuns {
+			return nil, fmt.Errorf("service: mc_runs %d outside [1,%d]", spec.MCRuns, MaxMCRuns)
+		}
+		if err := checkProduct(len(spec.Paths), spec.MCRuns, "mc_runs", MaxPathRuns); err != nil {
+			return nil, err
+		}
+	case AlgProbRoMe, AlgMatRoMe, AlgSelectPath:
+		// Deterministic in the instance alone: the scenario-stream knobs
+		// must not split the cache key. A scenario source likewise only
+		// reaches these algorithms through its stationary marginals, which
+		// are already folded into probs — dropping it here keeps the job
+		// key identical to the equivalent explicit-probs submission, so
+		// both hit the same cache entry.
+		spec.MCRuns = 0
+		spec.Seed = 0
+		scenario = nil
+	default:
+		return nil, fmt.Errorf("service: unknown algorithm %q (probrome, monterome, matrome, selectpath)", spec.Algorithm)
 	}
 	for i, p := range spec.Paths {
 		for _, l := range p {
@@ -156,30 +213,6 @@ func (selEngine) Normalize(spec engine.Spec) (engine.Job, error) {
 		}
 	default:
 		return nil, fmt.Errorf("service: %d costs for %d paths", len(spec.Costs), len(spec.Paths))
-	}
-	if spec.Algorithm == "" {
-		spec.Algorithm = AlgProbRoMe
-	}
-	switch spec.Algorithm {
-	case AlgMonteRoMe:
-		if spec.MCRuns == 0 {
-			spec.MCRuns = DefaultMCRuns
-		}
-		if spec.MCRuns < 0 || spec.MCRuns > MaxMCRuns {
-			return nil, fmt.Errorf("service: mc_runs %d outside [1,%d]", spec.MCRuns, MaxMCRuns)
-		}
-	case AlgProbRoMe, AlgMatRoMe, AlgSelectPath:
-		// Deterministic in the instance alone: the scenario-stream knobs
-		// must not split the cache key. A scenario source likewise only
-		// reaches these algorithms through its stationary marginals, which
-		// are already folded into probs — dropping it here keeps the job
-		// key identical to the equivalent explicit-probs submission, so
-		// both hit the same cache entry.
-		spec.MCRuns = 0
-		spec.Seed = 0
-		scenario = nil
-	default:
-		return nil, fmt.Errorf("service: unknown algorithm %q (probrome, monterome, matrome, selectpath)", spec.Algorithm)
 	}
 	return &selJob{
 		links:     spec.Links,

@@ -2,8 +2,10 @@ package selection
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -259,5 +261,66 @@ func TestSelectionScenarioLinksBounded(t *testing.T) {
 	atLimit := `{"scenario":{"source":"bernoulli","links":65536,"expected_failures":2}}`
 	if _, err := e.Normalize(engine.Spec{Params: []byte(atLimit)}); err == nil || strings.Contains(err.Error(), "more than") {
 		t.Fatalf("Normalize at the limit = %v, want it past the limit (failing on paths)", err)
+	}
+}
+
+// onePathSpecs returns n one-link paths over links 0..3.
+func onePathSpecs(n int) [][]int {
+	paths := make([][]int, n)
+	for i := range paths {
+		paths[i] = []int{i % 4}
+	}
+	return paths
+}
+
+// TestSelectionSizeProductsBounded: a 40 KB body, a 65,536-link scenario
+// source plus 10,000 one-link paths, would ask Run for a 5.2 GB path
+// matrix; Normalize refuses it on MaxPathCells before building the source.
+// Jobs exactly at MaxPathCells and at MaxPathRuns pass, and one path more
+// fails, as do explicit link counts too large to multiply.
+func TestSelectionSizeProductsBounded(t *testing.T) {
+	e, err := engine.Lookup(EngineName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenario := []byte(`{"scenario":{"source":"bernoulli","links":65536,"expected_failures":2}}`)
+	cells, runs := strconv.Itoa(MaxPathCells), strconv.Itoa(MaxPathRuns)
+
+	big := engine.Spec{Params: scenario, Paths: onePathSpecs(10000)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = e.Normalize(big)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), cells) {
+		t.Fatalf("Normalize = %v, want the %s-cell limit", err, cells)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the body allocated %d bytes", grew)
+	}
+
+	probs := []float64{0.1, 0.1, 0.1, 0.1}
+	for _, tc := range []struct {
+		name  string
+		spec  engine.Spec
+		limit string // "" when the spec must pass
+	}{
+		{"cells at limit", engine.Spec{Params: scenario, Paths: onePathSpecs(MaxPathCells / MaxLinks)}, ""},
+		{"cells over limit", engine.Spec{Params: scenario, Paths: onePathSpecs(MaxPathCells/MaxLinks + 1)}, cells},
+		{"explicit links over limit", engine.Spec{Links: 1 << 20, Paths: onePathSpecs(9)}, cells},
+		{"links too large to multiply", engine.Spec{Links: math.MaxInt, Paths: onePathSpecs(2)}, cells},
+		{"runs at limit", engine.Spec{Links: 4, Probs: probs, Paths: onePathSpecs(MaxPathRuns / MaxMCRuns),
+			Algorithm: AlgMonteRoMe, MCRuns: MaxMCRuns}, ""},
+		{"runs over limit", engine.Spec{Links: 4, Probs: probs, Paths: onePathSpecs(MaxPathRuns/MaxMCRuns + 1),
+			Algorithm: AlgMonteRoMe, MCRuns: MaxMCRuns}, runs},
+		{"default runs over limit", engine.Spec{Links: 4, Probs: probs, Paths: onePathSpecs(MaxPathRuns/DefaultMCRuns + 1),
+			Algorithm: AlgMonteRoMe}, runs},
+	} {
+		_, err := e.Normalize(tc.spec)
+		if tc.limit == "" && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if tc.limit != "" && (err == nil || !strings.Contains(err.Error(), tc.limit)) {
+			t.Errorf("%s: Normalize = %v, want the %s limit", tc.name, err, tc.limit)
+		}
 	}
 }

@@ -26,22 +26,23 @@ func testSpec(n int) JobSpec {
 	}
 }
 
-// slowMonteRoMeSpec is a monterome job within the mc_runs limit that runs
-// far longer than any deadline in these tests (still running after 20 s
-// on a 2-vCPU Xeon VM): every two-link path over 48 links (1128
-// candidates), a panel of selection.MaxMCRuns scenarios and a budget that
-// never binds, so the greedy keeps picking while the scenario classes
-// multiply. The greedy checks its context before every gain evaluation,
-// so a cancel stops it promptly.
+// slowMonteRoMeSpec is a monterome job within the intake limits that runs
+// far longer than any deadline in these tests (still running after 10 s on
+// a 2-vCPU VM, done within 20 s): every two-link path over 48
+// links (1128 candidates), the largest panel selection.MaxPathRuns allows
+// them (7436 scenarios) and a budget that never binds, so the greedy keeps
+// picking while the scenario classes multiply. The greedy checks its
+// context before every gain evaluation, so a cancel stops it promptly.
 func slowMonteRoMeSpec() JobSpec {
 	const links = 48
-	spec := JobSpec{Links: links, Budget: 1e6, Algorithm: AlgMonteRoMe, MCRuns: selection.MaxMCRuns, Seed: 1}
+	spec := JobSpec{Links: links, Budget: 1e6, Algorithm: AlgMonteRoMe, Seed: 1}
 	for a := 0; a < links; a++ {
 		spec.Probs = append(spec.Probs, 0.1)
 		for b := a + 1; b < links; b++ {
 			spec.Paths = append(spec.Paths, []int{a, b})
 		}
 	}
+	spec.MCRuns = selection.MaxPathRuns / len(spec.Paths)
 	return spec
 }
 

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,7 +82,7 @@ func benchTopologyConfig(t *testing.T, mode Mode, horizon int) Config {
 }
 
 // checkReportsAgainstSystem recomputes every epoch's rank and identifiable
-// link count from the dense System over that epoch's surviving paths and
+// link count from a tomo.System over that epoch's surviving paths and
 // requires the report to carry the same two numbers. It returns the
 // distinct identifiable counts seen.
 func checkReportsAgainstSystem(t *testing.T, pm *tomo.PathMatrix, rec *survivorRecorder, reports []EpochReport) map[int]bool {
@@ -160,4 +162,45 @@ func TestEpochReportMatchesSystem(t *testing.T) {
 		t.Fatalf("dead monitor %s did not degrade the epoch: %+v", dead, reports[0].Collection)
 	}
 	checkReportsAgainstSystem(t, cfg.PM, rec, reports)
+}
+
+// nanCollector wraps a collector and replaces the first successful
+// measurement of one epoch with NaN, as a binary probe frame can carry.
+type nanCollector struct {
+	inner Collector
+	epoch int
+}
+
+func (c *nanCollector) CollectAssembled(ctx context.Context, epoch int, selected []int) (agent.AssembledEpoch, error) {
+	out, err := c.inner.CollectAssembled(ctx, epoch, selected)
+	if epoch == c.epoch {
+		for i := range out.Measurements {
+			if out.Measurements[i].OK {
+				out.Measurements[i].Value = math.NaN()
+				break
+			}
+		}
+	}
+	return out, err
+}
+
+// One NaN measurement poisons its path's running mean; Estimates must
+// return the error naming it, not NaN metrics.
+func TestEstimatesRejectNaNMeasurement(t *testing.T) {
+	cfg := exampleConfig(t, Static)
+	cfg.Horizon = 20
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.UseCollector(&nanCollector{inner: r.collector, epoch: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background(), cfg.Horizon); err != nil {
+		t.Fatal(err)
+	}
+	values, ident, err := r.Estimates(1, 1e-6)
+	if err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("Estimates = %v, %v, %v; want an error naming the NaN measurement", values, ident, err)
+	}
 }

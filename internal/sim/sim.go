@@ -377,7 +377,8 @@ func (r *Runner) Run(ctx context.Context, n int) ([]EpochReport, error) {
 // inferred link metrics with their identifiability mask. minSamples
 // controls how many epochs a path must have survived to contribute; tol
 // reconciles cross-epoch noise (use a small value like 1e-6 for noiseless
-// simulations).
+// simulations). A non-finite mean, from a monitor that reported NaN or
+// ±Inf, is an error.
 func (r *Runner) Estimates(minSamples int, tol float64) (values []float64, ident []bool, err error) {
 	idx, y := r.agg.SystemInputs(minSamples)
 	sys, err := tomo.NewSystemTol(r.cfg.PM, idx, y, tol)

@@ -1,6 +1,8 @@
 package tomo
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"robusttomo/internal/graph"
@@ -101,5 +103,91 @@ func TestNodeIdentifiabilityValidation(t *testing.T) {
 	}
 	if _, err := pm.NodeIdentifiability([]int{0}, [][]int{{7}}); err == nil {
 		t.Error("out-of-range incident link accepted")
+	}
+}
+
+// bruteNodeIdent is the definition NodeIdentifiability implements, by
+// enumeration: a node's hit set marks the selections whose path traverses
+// one of its incident links; a node is covered when it hits any, and
+// identifiable when no other covered node has the same hit set.
+func bruteNodeIdent(paths []routing.Path, idx []int, incidence [][]int) NodeIdent {
+	hits := make([][]bool, len(incidence))
+	for v, links := range incidence {
+		hits[v] = make([]bool, len(idx))
+		for k, i := range idx {
+			for _, e := range paths[i].Edges {
+				hits[v][k] = hits[v][k] || slices.Contains(links, int(e))
+			}
+		}
+	}
+	ni := NodeIdent{Covered: make([]bool, len(incidence)), Identifiable: make([]bool, len(incidence))}
+	for v := range hits {
+		ni.Covered[v] = slices.Contains(hits[v], true)
+	}
+	for v := range hits {
+		if !ni.Covered[v] {
+			continue
+		}
+		ni.NumCovered++
+		ni.Identifiable[v] = true
+		for u := range hits {
+			if u != v && ni.Covered[u] && slices.Equal(hits[u], hits[v]) {
+				ni.Identifiable[v] = false
+			}
+		}
+		if ni.Identifiable[v] {
+			ni.NumIdentifiable++
+		}
+	}
+	return ni
+}
+
+// NodeIdentifiability against brute force on small random instances: up
+// to 8 nodes and 12 links, incidence lists drawn at random (a link may
+// touch any number of nodes, or repeat in a list), paths that may repeat
+// links, and selections that may repeat paths.
+func TestNodeIdentifiabilityBruteForce(t *testing.T) {
+	identified, confused := 0, 0
+	for seed := uint64(0); seed < 3000; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x1d))
+		nodes, links := 1+rng.IntN(8), 1+rng.IntN(12)
+		incidence := make([][]int, nodes)
+		for v := range incidence {
+			for l := 0; l < links; l++ {
+				for rng.Float64() < 0.3 {
+					incidence[v] = append(incidence[v], l)
+				}
+			}
+		}
+		paths := make([]routing.Path, 1+rng.IntN(10))
+		for i := range paths {
+			for l := 0; l < links; l++ {
+				for rng.Float64() < 0.25 {
+					paths[i].Edges = append(paths[i].Edges, graph.EdgeID(l))
+				}
+			}
+		}
+		idx := make([]int, rng.IntN(12))
+		for k := range idx {
+			idx[k] = rng.IntN(len(paths))
+		}
+		pm, err := NewPathMatrix(paths, links)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pm.NodeIdentifiability(idx, incidence)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteNodeIdent(paths, idx, incidence)
+		if !slices.Equal(got.Covered, want.Covered) || !slices.Equal(got.Identifiable, want.Identifiable) ||
+			got.NumCovered != want.NumCovered || got.NumIdentifiable != want.NumIdentifiable {
+			t.Fatalf("seed %d: NodeIdentifiability %+v, brute force %+v", seed, got, want)
+		}
+		identified += want.NumIdentifiable
+		confused += want.NumCovered - want.NumIdentifiable
+	}
+	if identified == 0 || confused == 0 {
+		t.Fatalf("%d identified and %d confusable nodes: the instances do not exercise both outcomes", identified, confused)
 	}
 }

@@ -2,6 +2,7 @@ package tomo
 
 import (
 	"fmt"
+	"math"
 
 	"robusttomo/internal/linalg"
 )
@@ -10,15 +11,17 @@ import (
 // surviving paths S. It answers the two questions the paper's applications
 // ask: which link metrics are uniquely identifiable, and what are their
 // values.
+//
+// The rows of S enter a support-tracking linalg.SparseBasis in the given
+// order; the basis keeps the rows it accepts, and y keeps their
+// measurements, so any vector in the span is evaluated through its
+// Representation over the accepted rows. Solve reduces in the basis's own
+// scratch, so one System must not Solve on several goroutines at once.
 type System struct {
-	pm      *PathMatrix
-	idx     []int // probed surviving path indices
-	reduced *linalg.Matrix
-	pivots  []int
-	// yReduced carries the measurement vector through the same row
-	// operations as the RREF, so identifiable values fall out directly.
-	yReduced []float64
-	hasY     bool
+	pm    *PathMatrix
+	basis *linalg.SparseBasis
+	y     []float64 // measurements of the accepted rows, in acceptance order
+	hasY  bool
 }
 
 // NewSystem builds the system over the given surviving path indices with
@@ -31,91 +34,77 @@ func NewSystem(pm *PathMatrix, idx []int, y []float64) (*System, error) {
 }
 
 // NewSystemTol is NewSystem with an explicit zero/consistency tolerance:
-// residuals of magnitude ≤ tol in the reduction are treated as zero, so
-// redundant measurements that disagree by no more than the tolerance are
-// reconciled instead of rejected. Structural coefficients in path matrices
-// are ±1, so any tol ≪ 1 preserves identifiability decisions.
+// the elimination treats magnitudes ≤ tol as zero, and a path whose row
+// depends on earlier rows of idx may have a measurement that differs from
+// the value those rows imply by at most tol; more is an inconsistency. The
+// solved values then rest on the earlier rows. Structural coefficients in
+// path matrices are ±1, so any tol ≪ 1 preserves identifiability decisions.
+// Every measurement must be finite.
 func NewSystemTol(pm *PathMatrix, idx []int, y []float64, tol float64) (*System, error) {
 	if y != nil && len(y) != len(idx) {
 		return nil, fmt.Errorf("tomo: %d measurements for %d paths", len(y), len(idx))
 	}
-	if tol <= 0 || tol >= 0.5 {
+	if !(tol > 0 && tol < 0.5) { // also rejects NaN
 		return nil, fmt.Errorf("tomo: tolerance %v out of (0, 0.5)", tol)
 	}
 	if err := pm.checkIndices(idx); err != nil {
 		return nil, err
 	}
-	// Build the augmented matrix [A_S | y] and reduce it as one block so
-	// the measurement column experiences the identical row operations.
-	cols := pm.NumLinks()
-	aug := linalg.NewMatrix(len(idx), cols+1)
-	for r, i := range idx {
-		copy(aug.Row(r)[:cols], pm.Row(i))
-		if y != nil {
-			aug.Row(r)[cols] = y[r]
+	for k, v := range y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("tomo: measurement %d (path %d) is %v", k, idx[k], v)
 		}
 	}
-	redAug, pivots := linalg.RREF(aug, tol)
-	// A pivot in the augmented column would mean inconsistent measurements.
-	for _, p := range pivots {
-		if p == cols {
+	s := &System{pm: pm, basis: linalg.NewSparseBasisTol(pm.NumLinks(), tol), hasY: y != nil}
+	for k, i := range idx {
+		cols, vals := pm.SparseRow(i)
+		added, _, _ := s.basis.Add(cols, vals)
+		if y == nil {
+			continue
+		}
+		if added {
+			s.y = append(s.y, y[k])
+		} else if v, _ := implied(s.basis, s.y, cols, vals); math.Abs(v-y[k]) > tol {
 			return nil, fmt.Errorf("tomo: inconsistent measurements (no solution)")
 		}
 	}
-	red := linalg.NewMatrix(len(idx), cols)
-	yRed := make([]float64, len(idx))
-	for r := 0; r < len(idx); r++ {
-		copy(red.Row(r), redAug.Row(r)[:cols])
-		yRed[r] = redAug.Row(r)[cols]
+	return s, nil
+}
+
+// implied evaluates the sparse row (cols, vals) through its representation
+// over the basis members, weighted by the members' measurements y: by
+// linearity of additive metrics, the measurement the row must have. ok is
+// false when the row is outside the span.
+func implied(basis *linalg.SparseBasis, y []float64, cols []int, vals []float64) (v float64, ok bool) {
+	coeffs, ok := basis.Representation(cols, vals)
+	for k, c := range coeffs {
+		v += c * y[k]
 	}
-	cp := make([]int, len(idx))
-	copy(cp, idx)
-	return &System{
-		pm:       pm,
-		idx:      cp,
-		reduced:  red,
-		pivots:   pivots,
-		yReduced: yRed,
-		hasY:     y != nil,
-	}, nil
+	return v, ok
 }
 
 // Rank returns the rank of the surviving sub-matrix.
-func (s *System) Rank() int { return len(s.pivots) }
+func (s *System) Rank() int { return s.basis.Rank() }
+
+// unit is the value slice of a unit vector e_j in sparse form.
+var unit = []float64{1}
 
 // Identifiable reports, per link, whether its metric is uniquely
 // determined by the system: link j is identifiable iff the unit vector e_j
-// lies in the row space of A_S. With the RREF at hand this holds exactly
-// when j is a pivot column whose pivot row has no other nonzero entries.
+// lies in the row space of A_S.
 func (s *System) Identifiable() []bool {
 	out := make([]bool, s.pm.NumLinks())
-	for r, col := range s.pivots {
-		row := s.reduced.Row(r)
-		only := true
-		for j, v := range row {
-			if j != col && v != 0 {
-				only = false
-				break
-			}
-		}
-		if only {
-			out[col] = true
-		}
+	ws := linalg.NewWorkspace(len(out))
+	for j := range out {
+		out[j] = s.basis.InSpanWith([]int{j}, unit, ws)
 	}
 	return out
 }
 
 // NumIdentifiable returns the count of identifiable links (the paper's
-// "link identifiability" metric).
-func (s *System) NumIdentifiable() int {
-	n := 0
-	for _, ok := range s.Identifiable() {
-		if ok {
-			n++
-		}
-	}
-	return n
-}
+// "link identifiability" metric): the single-entry rows of the reduced
+// basis, each of which is some e_j (DESIGN.md §5).
+func (s *System) NumIdentifiable() int { return s.basis.UnitRows() }
 
 // Solve returns the uniquely determined link metrics: values[j] is
 // meaningful only where ident[j] is true. It requires measurements.
@@ -123,12 +112,10 @@ func (s *System) Solve() (values []float64, ident []bool, err error) {
 	if !s.hasY {
 		return nil, nil, fmt.Errorf("tomo: Solve requires measurements")
 	}
-	ident = s.Identifiable()
 	values = make([]float64, s.pm.NumLinks())
-	for r, col := range s.pivots {
-		if ident[col] {
-			values[col] = s.yReduced[r]
-		}
+	ident = make([]bool, len(values))
+	for j := range values {
+		values[j], ident[j] = implied(s.basis, s.y, []int{j}, unit)
 	}
 	return values, ident, nil
 }
@@ -140,8 +127,7 @@ func (s *System) Solve() (values []float64, ident []bool, err error) {
 type Reconstructor struct {
 	pm    *PathMatrix
 	basis *linalg.SparseBasis
-	idx   []int     // probed path indices accepted into the basis
-	y     []float64 // measurements parallel to idx
+	y     []float64 // measurements of the probed paths accepted into the basis
 }
 
 // NewReconstructor ingests probed paths and their measurements; dependent
@@ -156,7 +142,6 @@ func NewReconstructor(pm *PathMatrix, idx []int, y []float64) (*Reconstructor, e
 	rc := &Reconstructor{pm: pm, basis: linalg.NewSparseBasis(pm.NumLinks())}
 	for k, i := range idx {
 		if added, _, _ := rc.basis.Add(pm.SparseRow(i)); added {
-			rc.idx = append(rc.idx, i)
 			rc.y = append(rc.y, y[k])
 		}
 	}
@@ -174,15 +159,8 @@ func (rc *Reconstructor) Reconstruct(i int) (float64, bool) {
 	if i < 0 || i >= rc.pm.NumPaths() {
 		return 0, false
 	}
-	coeffs, ok := rc.basis.Representation(rc.pm.SparseRow(i))
-	if !ok {
-		return 0, false
-	}
-	sum := 0.0
-	for k, c := range coeffs {
-		sum += c * rc.y[k]
-	}
-	return sum, true
+	cols, vals := rc.pm.SparseRow(i)
+	return implied(rc.basis, rc.y, cols, vals)
 }
 
 // CoverageCount returns how many of all candidate paths are reconstructable
@@ -198,10 +176,17 @@ func (rc *Reconstructor) CoverageCount() int {
 }
 
 // TrueMeasurements computes noiseless measurements y = A·x for ground-truth
-// link metrics x, the forward model used across examples and tests.
+// link metrics x, the forward model used across examples and tests: each
+// path's metric is the sum of x over its links, in ascending link order.
 func (pm *PathMatrix) TrueMeasurements(x []float64) ([]float64, error) {
 	if len(x) != pm.NumLinks() {
 		return nil, fmt.Errorf("tomo: %d metrics for %d links", len(x), pm.NumLinks())
 	}
-	return pm.mat.MulVec(x), nil
+	y := make([]float64, len(pm.cols))
+	for i, cols := range pm.cols {
+		for _, j := range cols {
+			y[i] += x[j]
+		}
+	}
+	return y, nil
 }

@@ -1,13 +1,14 @@
 package tomo
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"robusttomo/internal/failure"
-	"robusttomo/internal/linalg"
 )
 
 func allIdx(pm *PathMatrix) []int {
@@ -121,9 +122,32 @@ func TestSystemInconsistentMeasurements(t *testing.T) {
 
 func TestSystemTolValidation(t *testing.T) {
 	_, pm := examplePM(t)
-	for _, tol := range []float64{0, -1, 0.5, 1} {
+	for _, tol := range []float64{0, -1, 0.5, 1, math.NaN()} {
 		if _, err := NewSystemTol(pm, []int{0}, nil, tol); err == nil {
 			t.Fatalf("tolerance %v accepted", tol)
+		}
+	}
+}
+
+// A NaN or infinite measurement is an error naming it, never a system
+// whose solved values come out NaN.
+func TestSystemRejectsNonFiniteMeasurements(t *testing.T) {
+	_, pm := examplePM(t)
+	x := make([]float64, pm.NumLinks())
+	for i := range x {
+		x[i] = 1 + float64(i)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range []int{0, 7, pm.NumPaths() - 1} {
+			y, _ := pm.TrueMeasurements(x)
+			y[at] = bad
+			_, err := NewSystemTol(pm, allIdx(pm), y, 1e-6)
+			if err == nil {
+				t.Fatalf("measurement %v at %d accepted", bad, at)
+			}
+			if want := fmt.Sprintf("measurement %d (path %d) is %v", at, at, bad); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %q", err, want)
+			}
 		}
 	}
 }
@@ -148,8 +172,9 @@ func TestSystemMeasurementCountMismatch(t *testing.T) {
 	}
 }
 
-// Property: identifiability as computed by the RREF criterion agrees with
-// the definitional test e_j ∈ rowspace(A_S) for random subsets.
+// Property: identifiability as computed on the sparse basis agrees with
+// the definitional test e_j ∈ rowspace(A_S), decided exactly (a row of the
+// big.Rat reduced echelon form equals e_j), for random subsets.
 func TestIdentifiabilityMatchesRowSpaceTest(t *testing.T) {
 	_, pm := examplePM(t)
 	check := func(seed uint64) bool {
@@ -165,13 +190,9 @@ func TestIdentifiabilityMatchesRowSpaceTest(t *testing.T) {
 			return false
 		}
 		ident := sys.Identifiable()
-		sub := pm.Matrix().SelectRows(idx)
-		red, pivots := linalg.RREF(sub, linalg.DefaultTol)
+		exact := exactEchelon(pm, idx, nil)
 		for j := 0; j < pm.NumLinks(); j++ {
-			ej := make([]float64, pm.NumLinks())
-			ej[j] = 1
-			want := linalg.InRowSpace(red, pivots, ej, 1e-7)
-			if ident[j] != want {
+			if ident[j] != exact.ident[j] {
 				return false
 			}
 		}

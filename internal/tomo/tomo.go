@@ -97,10 +97,6 @@ func (pm *PathMatrix) Paths() []routing.Path {
 	return out
 }
 
-// Row returns the 0/1 incidence row of path i (a live view; callers must
-// not modify it).
-func (pm *PathMatrix) Row(i int) []float64 { return pm.mat.Row(i) }
-
 // SparseRow returns row i in the form every linalg.SparseBasis operation
 // takes: the path's links sorted ascending without repeats, and a value
 // of 1 for each. Both are live views; callers must not modify them.
@@ -113,13 +109,22 @@ func (pm *PathMatrix) SparseRow(i int) (cols []int, vals []float64) {
 func (pm *PathMatrix) Matrix() *linalg.Matrix { return pm.mat }
 
 // Rank returns rank(A) over all candidate paths.
-func (pm *PathMatrix) Rank() int { return linalg.Rank(pm.mat) }
+func (pm *PathMatrix) Rank() int { return pm.RankOf(pm.allPaths()) }
+
+// allPaths returns the indices of every candidate path, in order.
+func (pm *PathMatrix) allPaths() []int {
+	all := make([]int, len(pm.paths))
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
 
 // RankOf returns the rank of the sub-matrix formed by the given path
 // indices. Incremental sparse elimination exploits the sparsity of path
-// rows; the result is identical to dense Gaussian elimination (covered by
-// the linalg differential tests plus TestRankOfMatchesDense here). The
-// elimination basis comes from the matrix's pool, so looping callers pay no
+// rows; the result equals the exact rational rank (covered by the linalg
+// differential tests plus TestRankOfMatchesDense here). The elimination
+// basis comes from the matrix's pool, so looping callers pay no
 // per-call allocation; hot loops that want full control can hold their own
 // basis and call RankOfWith directly.
 func (pm *PathMatrix) RankOf(idx []int) int {
@@ -245,12 +250,8 @@ func (pm *PathMatrix) LinkCoverage(idx []int) []int {
 // UncoveredLinks returns the links no candidate path traverses, in
 // ascending order.
 func (pm *PathMatrix) UncoveredLinks() []int {
-	all := make([]int, pm.NumPaths())
-	for i := range all {
-		all[i] = i
-	}
 	var out []int
-	for l, c := range pm.LinkCoverage(all) {
+	for l, c := range pm.LinkCoverage(pm.allPaths()) {
 		if c == 0 {
 			out = append(out, l)
 		}
@@ -262,9 +263,9 @@ func (pm *PathMatrix) UncoveredLinks() []int {
 // pass: the rank of its rows and the number of identifiable links. Link j
 // is identifiable iff the unit vector e_j lies in the row space, which in
 // the reduced basis holds iff a stored row equals e_j (UnitRows: O(rank),
-// no per-link probe). Results match System.NumIdentifiable (see
-// TestRankAndIdentifiable); this path avoids the dense RREF and is what
-// the evaluation harness and the closed loop use.
+// no per-link probe). Results match an exact reduced echelon form (see
+// TestRankAndIdentifiable); this rank-only pass is what the evaluation
+// harness and the closed loop use.
 func (pm *PathMatrix) RankAndIdentifiable(idx []int) (rank, identifiable int) {
 	basis := pm.acquireBasis()
 	rank, identifiable = pm.RankAndIdentifiableWith(idx, basis)

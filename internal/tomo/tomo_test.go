@@ -54,7 +54,7 @@ func TestExampleMatrixFullRank(t *testing.T) {
 func TestRowIncidence(t *testing.T) {
 	_, pm := examplePM(t)
 	for i := 0; i < pm.NumPaths(); i++ {
-		row := pm.Row(i)
+		row := pm.Matrix().Row(i)
 		ones := 0
 		for _, v := range row {
 			if v == 1 {
@@ -102,8 +102,8 @@ func TestRankOfEmpty(t *testing.T) {
 	}
 }
 
-// Property: the sparse-basis RankOf agrees with dense Gaussian elimination
-// on random subsets.
+// Property: the sparse-basis RankOf agrees with the exact big.Rat rank of
+// the dense sub-matrix on random subsets.
 func TestRankOfMatchesDense(t *testing.T) {
 	_, pm := examplePM(t)
 	check := func(seed uint64) bool {
@@ -116,7 +116,7 @@ func TestRankOfMatchesDense(t *testing.T) {
 		}
 		want := 0
 		if len(idx) > 0 {
-			want = linalg.Rank(pm.Matrix().SelectRows(idx))
+			want = linalg.RankExact(pm.Matrix().SelectRows(idx))
 		}
 		return pm.RankOf(idx) == want
 	}
@@ -174,10 +174,11 @@ func as1755PM(t *testing.T) *PathMatrix {
 	return monitorPairsPM(t, tp, 400, 2)
 }
 
-// RankAndIdentifiable counts single-entry rows of the reduced basis; it
-// must give the rank and identifiable count of the System's dense RREF on
-// random subsets at several densities of the Section II example, the
-// bench topology and AS1755/400.
+// RankAndIdentifiable counts single-entry rows of the reduced basis, and
+// System solves on a support-tracking basis; both must give the rank and
+// identifiable count of the exact big.Rat reduced echelon form on random
+// subsets at several densities of the Section II example, the bench
+// topology and AS1755/400.
 func TestRankAndIdentifiable(t *testing.T) {
 	_, example := examplePM(t)
 	for _, inst := range []struct {
@@ -201,15 +202,17 @@ func TestRankAndIdentifiable(t *testing.T) {
 						idx = append(idx, i)
 					}
 				}
+				exact := exactEchelon(pm, idx, nil)
 				sys, err := NewSystem(pm, idx, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				rank, ident := pm.RankAndIdentifiable(idx)
 				rankWith, identWith := pm.RankAndIdentifiableWith(idx, basis)
-				if rank != sys.Rank() || ident != sys.NumIdentifiable() || rankWith != rank || identWith != ident {
-					t.Fatalf("%s density %v trial %d (%d paths): RankAndIdentifiable %d/%d, With %d/%d, System %d/%d",
-						inst.name, density, trial, len(idx), rank, ident, rankWith, identWith, sys.Rank(), sys.NumIdentifiable())
+				if rank != exact.rank || ident != count(exact.ident) || rankWith != rank || identWith != ident ||
+					sys.Rank() != rank || sys.NumIdentifiable() != ident {
+					t.Fatalf("%s density %v trial %d (%d paths): RankAndIdentifiable %d/%d, With %d/%d, System %d/%d, exact %d/%d",
+						inst.name, density, trial, len(idx), rank, ident, rankWith, identWith, sys.Rank(), sys.NumIdentifiable(), exact.rank, count(exact.ident))
 				}
 				seen[ident] = true
 			}
