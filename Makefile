@@ -107,16 +107,20 @@ endef
 # CI allocation gate: allocation contracts asserted with
 # testing.AllocsPerRun. Most are steady-state zeros — the Monte Carlo
 # incremental oracle (Gain, splitless Add), the LSR and ProbRoMe oracles'
-# Gain, the sparse-basis scratch pre-sizing and alloc-free probes, and the
-# path matrix's rank and identifiability passes on a caller-held basis.
-# One is a bound: the loss engine's Normalize of a 700x64 probe body stays
-# at or under 500 allocations (decoding into [][]int took about 5,000).
-# Gated, not just documented.
+# Gain, the sparse-basis scratch pre-sizing, alloc-free probes and
+# CopyFrom into a warm basis, and the path matrix's rank and
+# identifiability passes on a caller-held basis. Two are bounds: the loss
+# engine's Normalize of a 700x64 probe body stays at or under 500
+# allocations (decoding into [][]int took about 5,000), and a warm
+# monterome-as1755-shaped MonteRoMe job stays at or under 2 MB and 10,000
+# allocations (cloning class bases took 8.8 MB and 84,000). Gated, not
+# just documented.
 alloc-gate:
 	$(call gate-run,./internal/er/,TestMonteCarloIncSteadyStateZeroAlloc|TestThetaBoundIncGainZeroAlloc|TestProbBoundIncGainZeroAlloc)
-	$(call gate-run,./internal/linalg/,TestSparseBasisScratchPresized|TestSparseBasisDependentScratchAllocFree)
+	$(call gate-run,./internal/linalg/,TestSparseBasisScratchPresized|TestSparseBasisDependentScratchAllocFree|TestSparseBasisCopyFromRecycles)
 	$(call gate-run,./internal/tomo/,TestRankOfWithZeroAlloc|TestRankAndIdentifiableWithZeroAlloc)
 	$(call gate-run,./internal/loss/,TestLossNormalizeAllocs)
+	$(call gate-run,./internal/experiments/,TestMonteRoMeJobAllocs)
 
 # CI golden gate: the output pins (MonteRoMe, MatRoMe and figure
 # fingerprints), the packed-vs-serial Monte Carlo oracle equivalence and

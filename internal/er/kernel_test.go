@@ -139,8 +139,9 @@ func TestMonteCarloIncDeterministic(t *testing.T) {
 
 // The steady state of MonteCarloInc — Gain and the Add of an
 // already-committed path (no class splits) — must allocate nothing.
-// Splitting Adds may allocate (new class mask + basis clone); everything
-// else runs off warm slabs.
+// Splitting Adds may allocate (the new class's mask and memo slab, and a
+// basis when the pool has none to hand out); everything else runs off warm
+// slabs.
 func TestMonteCarloIncSteadyStateZeroAlloc(t *testing.T) {
 	pm, model := rocketfuelInstance(t, 120, 2)
 	mc := NewMonteCarloInc(pm, model, 256, rand.New(rand.NewPCG(4, 4)))
@@ -164,8 +165,8 @@ func TestMonteCarloIncSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// Race soak for the pooled per-worker state: concurrent MonteCarlo calls
-// share mcWorkerPool and the path matrix. Run under -race in CI; any
+// Race soak for the pooled per-worker bases: concurrent MonteCarlo calls
+// share the basis pool and the path matrix. Run under -race in CI; any
 // sharing bug in the pool or the scenario panels shows up here.
 func TestMonteCarloConcurrentCallsRace(t *testing.T) {
 	pm, model := rocketfuelInstance(t, 100, 5)
@@ -181,11 +182,35 @@ func TestMonteCarloConcurrentCallsRace(t *testing.T) {
 	}
 	wg.Wait()
 	for g := 0; g < 8; g++ {
-		// Same seed from different goroutines must agree: pooled worker
-		// state carries no result-bearing residue between calls.
+		// Same seed from different goroutines must agree: pooled bases
+		// carry no result-bearing residue between calls.
 		want := MonteCarlo(pm, model, idx, 300, rand.New(rand.NewPCG(uint64(g/2), 6)))
 		if results[g] != want {
 			t.Fatalf("goroutine %d: concurrent MonteCarlo %v, sequential %v", g, results[g], want)
 		}
+	}
+}
+
+// Release hands the class bases back, so a released oracle must fail loudly
+// instead of probing bases another oracle may now be extending: Gain and
+// Add panic afterwards, whichever path they are asked about.
+func TestMonteCarloIncUseAfterReleasePanics(t *testing.T) {
+	pm, model := rocketfuelInstance(t, 60, 3)
+	mc := NewMonteCarloInc(pm, model, 64, rand.New(rand.NewPCG(1, 2)))
+	mc.Add(0)
+	value := mc.Value()
+	mc.Release()
+	if mc.Value() != value || mc.Classes() != 0 {
+		t.Fatalf("released oracle: Value %v (was %v), Classes %d", mc.Value(), value, mc.Classes())
+	}
+	for name, call := range map[string]func(){"Gain": func() { mc.Gain(1) }, "Add": func() { mc.Add(1) }} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Release did not panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }

@@ -16,7 +16,10 @@ import (
 // class. It skips only re-probes whose answer it already holds: a Gain
 // sets bits of the path it probes alone and changes no basis, and an Add
 // changes the basis of a class exactly when its rank grows or the class is
-// new. It returns the number of Gain calls and of memo bits re-probed.
+// new. Before every Add it also checks that the row is outside the basis
+// of every class it splits (partial survival), which is what lets Add
+// skip a memoized class before counting its survivors. It returns the
+// number of Gain calls and of memo bits re-probed.
 func memoSchedule(t *testing.T, pm *tomo.PathMatrix, model failure.Sampler, runs int, seed uint64) (gains, checked int) {
 	t.Helper()
 	mc := NewMonteCarloInc(pm, model, runs, rand.New(rand.NewPCG(seed, 0x3E)))
@@ -48,8 +51,14 @@ func memoSchedule(t *testing.T, pm *tomo.PathMatrix, model failure.Sampler, runs
 			return gains, checked
 		}
 		ranks = ranks[:0]
-		for _, b := range mc.bases {
+		cols, vals := pm.SparseRow(best)
+		for c, b := range mc.bases {
 			ranks = append(ranks, b.Rank())
+			cnt := andCount(mc.masks[best], mc.classes[c])
+			if cnt > 0 && cnt < int(mc.classBits[c]) && b.InSpanWith(cols, vals, ws) {
+				t.Fatalf("path %d splits class %d (%d of %d scenarios survive) but lies in its basis's span",
+					best, c, cnt, mc.classBits[c])
+			}
 		}
 		mc.Add(best)
 		for c, b := range mc.bases {

@@ -11,23 +11,19 @@ import (
 	"robusttomo/internal/tomo"
 )
 
-// mcWorker is the per-worker elimination state of the batch MonteCarlo
-// estimator, recycled across calls through mcWorkerPool: a warmed basis and
-// survivor scratch sized for one link count.
-type mcWorker struct {
-	basis *linalg.SparseBasis
-	surv  []int
-}
+// basisPool recycles rank-only bases across oracles and calls: the class
+// bases a released MonteCarloInc hands back, and the per-worker bases of
+// the batch MonteCarlo estimator. A pooled basis holds whatever its last
+// owner left in it; takers Reset it or overwrite it with CopyFrom.
+var basisPool sync.Pool
 
-var mcWorkerPool sync.Pool
-
-// acquireMCWorker returns a pooled worker state for the given link count,
-// or builds a fresh one.
-func acquireMCWorker(links int) *mcWorker {
-	if w, ok := mcWorkerPool.Get().(*mcWorker); ok && w.basis.Dim() == links {
-		return w
+// getBasis returns a pooled rank-only basis for the given link count, or a
+// new empty one.
+func getBasis(links int) *linalg.SparseBasis {
+	if b, ok := basisPool.Get().(*linalg.SparseBasis); ok && b.Dim() == links {
+		return b
 	}
-	return &mcWorker{basis: linalg.NewSparseBasisRankOnly(links)}
+	return linalg.NewSparseBasisRankOnly(links)
 }
 
 // MonteCarlo estimates ER(R) as the average rank of the surviving rows over
@@ -38,8 +34,8 @@ func acquireMCWorker(links int) *mcWorker {
 // Ranks are evaluated in parallel via chunked atomic-counter dispatch —
 // workers claim fixed index ranges, so there is no per-scenario channel
 // send and the per-scenario ranks land in fixed slots regardless of
-// scheduling. Per-worker bases and scratch are recycled across calls
-// through a sync.Pool.
+// scheduling. Per-worker bases come from the pool MonteCarloInc's class
+// bases are recycled through.
 func MonteCarlo(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rng *rand.Rand) float64 {
 	if len(idx) == 0 || n <= 0 {
 		return 0
@@ -69,8 +65,8 @@ func MonteCarlo(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rn
 	}
 	var next atomic.Int64
 	runShards(workers, func(int) {
-		w := acquireMCWorker(links)
-		basis, surv := w.basis, w.surv[:0]
+		basis := getBasis(links)
+		surv := make([]int, 0, len(idx))
 		for {
 			c := int(next.Add(1)) - 1
 			lo := c * chunk
@@ -99,8 +95,7 @@ func MonteCarlo(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rn
 				ranks[s] = basis.Rank()
 			}
 		}
-		w.surv = surv
-		mcWorkerPool.Put(w)
+		basisPool.Put(basis)
 	})
 
 	sum := 0
@@ -146,7 +141,10 @@ func MonteCarlo(pm *tomo.PathMatrix, model failure.Sampler, idx []int, n int, rn
 // and splitless Add — allocates nothing: masks and scratch live in
 // per-oracle slabs, a class's membership mask and memo share one slab,
 // class bases keep their storage across rows, and one probe workspace
-// serves every Gain (TestMonteCarloIncSteadyStateZeroAlloc).
+// serves every Gain (TestMonteCarloIncSteadyStateZeroAlloc). Class bases
+// come from a package pool: Release hands them back once the oracle is
+// done, and later oracles fill them by Reset or CopyFrom, so a warm
+// MonteRoMe job reuses the previous job's row storage.
 type MonteCarloInc struct {
 	pm    *tomo.PathMatrix
 	set   *failure.ScenarioSet
@@ -192,7 +190,9 @@ func NewMonteCarloInc(pm *tomo.PathMatrix, model failure.Sampler, runs int, rng 
 	set.SurvivalMask(nil, first[:mc.words])
 	mc.classes = [][]uint64{first}
 	mc.classBits = []int32{int32(runs)}
-	mc.bases = []*linalg.SparseBasis{linalg.NewSparseBasisRankOnly(links)}
+	basis := getBasis(links)
+	basis.Reset()
+	mc.bases = []*linalg.SparseBasis{basis}
 
 	mc.ws = linalg.NewWorkspace(links)
 
@@ -220,6 +220,17 @@ func (mc *MonteCarloInc) Runs() int { return mc.set.N() }
 // observability hook; bounded by min(2^adds, runs)).
 func (mc *MonteCarloInc) Classes() int { return len(mc.classes) }
 
+// Release returns the oracle's class bases to the pool later oracles draw
+// from. The oracle is done afterwards: Gain and Add panic, and Classes
+// reports 0. An oracle that is never released leaves its bases to the
+// garbage collector.
+func (mc *MonteCarloInc) Release() {
+	for _, b := range mc.bases {
+		basisPool.Put(b)
+	}
+	mc.bases, mc.classes, mc.classBits, mc.masks = nil, nil, nil, nil
+}
+
 // memoBit locates a path's bit in a class slab's span memo.
 func (mc *MonteCarloInc) memoBit(path int) (word int, bit uint64) {
 	return mc.words + path>>6, uint64(1) << (path & 63)
@@ -240,7 +251,7 @@ func andCount(a, b []uint64) int {
 // survives and, if there are any, one rank probe against the class basis:
 // the path gains in every surviving scenario of a class whose basis does
 // not span its row. An in-span answer sets the memo bit. A class basis only
-// grows (Add extends it in place or in a clone for a split-off class), so
+// grows (Add extends it in place or in a copy for a split-off class), so
 // the answer cannot change and a memoized class contributes no hits.
 func (mc *MonteCarloInc) Gain(path int) float64 {
 	mask := mc.masks[path]
@@ -267,10 +278,15 @@ func (mc *MonteCarloInc) Gain(path int) float64 {
 // Add implements Incremental. Classes split along the new row's survival
 // mask: a class whose scenarios all survive takes the row in place; a
 // partial class keeps its non-survivors and spawns a new class, with a
-// cloned basis and a copy of the span memo, for the survivors (three
-// word-ops on the membership masks). A class whose memo holds the row
-// skips the basis update, since an in-span row leaves a rank-only basis
-// as it is.
+// copy of its basis and span memo, for the survivors (three word-ops on
+// the membership masks). A class whose memo holds the row is skipped
+// before its survivors are counted. An in-span row leaves a rank-only
+// basis as it is, and it never splits its class: every link of a row in
+// the span of a class basis lies on a row the class committed, which
+// survives in all of the class's scenarios, so the row does too. The same
+// argument makes every split row independent of the parent basis, so the
+// child's Add always raises its rank (TestMonteCarloIncSpanMemoSound
+// checks both).
 // Classes are visited in ascending id and new ids appended in that order,
 // so the evolution is deterministic. A splitless Add (every touched class
 // moves wholesale, no new rank) allocates nothing.
@@ -282,6 +298,9 @@ func (mc *MonteCarloInc) Add(path int) {
 	hits := 0
 	for c := 0; c < nc; c++ {
 		cl := mc.classes[c]
+		if cl[mw]&bit != 0 {
+			continue
+		}
 		cnt := andCount(mask, cl)
 		if cnt == 0 {
 			continue
@@ -300,10 +319,9 @@ func (mc *MonteCarloInc) Add(path int) {
 			target = len(mc.classes)
 			mc.classes = append(mc.classes, child)
 			mc.classBits = append(mc.classBits, int32(cnt))
-			mc.bases = append(mc.bases, mc.bases[c].Clone())
-		}
-		if cl[mw]&bit != 0 {
-			continue // target's memo equals c's
+			b := getBasis(mc.pm.NumLinks())
+			b.CopyFrom(mc.bases[c])
+			mc.bases = append(mc.bases, b)
 		}
 		if added, _, _ := mc.bases[target].Add(cols, vals); added {
 			hits += cnt

@@ -64,6 +64,7 @@ func Correlated(cfg CorrelatedConfig, sc Scale) (Figure, error) {
 		// Correlation-aware: Monte Carlo over the true joint process.
 		awareOracle := er.NewMonteCarloInc(in.PM, corr, sc.MonteCarloRuns, stats.NewRNG(sc.Seed, 1200+uint64(set)))
 		aware, err := selection.RoMe(in.PM, in.Costs, budget, awareOracle, selection.NewOptions())
+		awareOracle.Release()
 		if err != nil {
 			return Figure{}, err
 		}

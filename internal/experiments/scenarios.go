@@ -94,6 +94,7 @@ func Burstiness(cfg BurstinessConfig, sc Scale) (Figure, error) {
 		}
 		awareOracle := er.NewMonteCarloInc(in.PM, ge, sc.MonteCarloRuns, stats.NewRNG(sc.Seed, trialStream(2200, uint64(trial))))
 		aware, err := selection.RoMe(in.PM, in.Costs, budget, awareOracle, selection.NewOptions())
+		awareOracle.Release()
 		if err != nil {
 			return err
 		}

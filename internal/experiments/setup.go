@@ -230,6 +230,7 @@ func (in *Instance) Select(alg string, budget float64, sc Scale, rngStream uint6
 		rng := stats.NewRNG(sc.Seed, rngStream+0x3C)
 		oracle := er.NewMonteCarloInc(in.PM, in.Model, sc.MonteCarloRuns, rng)
 		res, err := selection.RoMe(in.PM, in.Costs, budget, oracle, selection.NewOptions())
+		oracle.Release()
 		if err != nil {
 			return nil, err
 		}

@@ -103,10 +103,12 @@ func TestBasisDimMismatchPanics(t *testing.T) {
 	b.Add(sparse([]float64{0, 0, 0, 1}))
 }
 
+// A CopyFrom target is a clone: extending it leaves the source as it was.
 func TestBasisCloneIsolated(t *testing.T) {
 	b := NewSparseBasis(2)
 	mustAdd(t, b, []float64{1, 0})
-	c := b.Clone()
+	c := NewSparseBasis(2)
+	c.CopyFrom(b)
 	mustAdd(t, c, []float64{0, 1})
 	if b.Rank() != 1 || c.Rank() != 2 {
 		t.Fatalf("ranks = %d,%d, want 1,2", b.Rank(), c.Rank())

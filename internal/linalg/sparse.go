@@ -1,5 +1,7 @@
 package linalg
 
+import "slices"
+
 // sparseRow is a vector stored as parallel (col, val) pairs, sorted by
 // column.
 type sparseRow struct {
@@ -29,6 +31,13 @@ func (r *sparseRow) nnz() int { return len(r.cols) }
 // the reduced rows of ISP instances stay far from dense, so row updates
 // cost O(nnz) instead of O(dim). Acceptance is differential-tested against
 // the exact big.Rat rank (RankExact).
+//
+// Two summaries of the stored rows skip work whose result is already
+// known: unit flags the rows that are unit vectors, which a reduction clears
+// without reading, and colCnt counts the rows holding each column, which
+// ends Add's invariant-restoring pass once every holder of the new pivot
+// column is found. Both are recounted against the rows by
+// FuzzSparseVsExactRank.
 type SparseBasis struct {
 	dim int
 	tol float64
@@ -46,9 +55,16 @@ type SparseBasis struct {
 	// "which row eliminates this column" lookups during reduction.
 	pivotOf []int
 	combos  [][]float64
+	// unit[i] reports that row i's only entry sits in its pivot column, so
+	// eliminating with it just zeroes that column.
+	unit []bool
+	// colCnt[col] is the number of stored rows with an entry at col. Stored
+	// entries always exceed tol, so these are exactly the rows whose value
+	// at col is not near zero.
+	colCnt []int32
 
 	// mergeCols/mergeVals are the axpy merge scratch: each RREF-restore
-	// update merges into them and swaps them with the row's old storage, so
+	// update merges into them and copies the result back into the row, so
 	// a warmed-up basis performs Add without allocating.
 	mergeCols []int
 	mergeVals []float64
@@ -91,6 +107,7 @@ func newSparseBasis(dim int, tol float64, rankOnly bool) *SparseBasis {
 		tol:      tol,
 		rankOnly: rankOnly,
 		pivotOf:  pv,
+		colCnt:   make([]int32, dim),
 		ws:       NewWorkspace(dim),
 	}
 	if !rankOnly {
@@ -115,12 +132,46 @@ func (b *SparseBasis) Dim() int { return b.dim }
 // loops that rank many row subsets of the same dimension (Monte Carlo
 // scenario panels) reset one basis instead of allocating per subset.
 func (b *SparseBasis) Reset() {
+	for _, p := range b.pivots {
+		b.pivotOf[p] = -1
+	}
 	b.rows = b.rows[:0]
 	b.pivots = b.pivots[:0]
 	b.combos = b.combos[:0]
-	for i := range b.pivotOf {
-		b.pivotOf[i] = -1
+	b.unit = b.unit[:0]
+	clear(b.colCnt)
+}
+
+// CopyFrom makes b a deep copy of src, which must have the same dimension,
+// in b's own storage: rows, pivots, combos and the row summaries are copied
+// into the slices b already holds, rows past b's rank donate their storage
+// as Reset leaves them, and the row headers keep room for one more Add. A
+// basis recycled as the copy target of many snapshots (Monte Carlo class
+// splits) therefore settles into allocating nothing. b keeps its own
+// workspace and scratch.
+func (b *SparseBasis) CopyFrom(src *SparseBasis) {
+	if b.dim != src.dim {
+		panic("linalg: CopyFrom between sparse bases of different dimensions")
 	}
+	n := len(src.rows)
+	b.tol, b.rankOnly = src.tol, src.rankOnly
+	// slices.Grow extends a slice past its capacity by appending to
+	// s[:cap(s)], so retired rows keep their storage.
+	b.rows = slices.Grow(b.rows[:0], n+1)[:n]
+	for i := range src.rows {
+		r, s := &b.rows[i], &src.rows[i]
+		r.cols, r.vals = rowStorage(r.cols, r.vals, len(s.cols))
+		r.cols = append(r.cols, s.cols...)
+		r.vals = append(r.vals, s.vals...)
+	}
+	b.combos = slices.Grow(b.combos[:0], len(src.combos))[:len(src.combos)]
+	for i, c := range src.combos {
+		b.combos[i] = append(b.combos[i][:0], c...)
+	}
+	b.pivots = append(b.pivots[:0], src.pivots...)
+	b.unit = append(b.unit[:0], src.unit...)
+	copy(b.pivotOf, src.pivotOf)
+	copy(b.colCnt, src.colCnt)
 }
 
 // reduce eliminates pivot-column components of the workspace vector.
@@ -128,7 +179,9 @@ func (b *SparseBasis) Reset() {
 // one elimination, and eliminating with a row never reintroduces another
 // pivot column. Newly touched columns are processed as they appear. When
 // factors is non-nil (length = number of rows) the elimination factor of
-// each row is recorded there.
+// each row is recorded there. A unit row is not read: its elimination
+// would compute f − f·1 in its pivot column alone, which the final
+// dense[col] = 0 overwrites anyway.
 func (b *SparseBasis) reduce(ws *Workspace, factors []float64) {
 	dense, mark := ws.dense, ws.mark
 	for k := 0; k < len(ws.touched); k++ {
@@ -144,14 +197,16 @@ func (b *SparseBasis) reduce(ws *Workspace, factors []float64) {
 		if factors != nil {
 			factors[row] = f
 		}
-		r := &b.rows[row]
-		vals := r.vals
-		for i, c := range r.cols {
-			if !mark[c] {
-				mark[c] = true
-				ws.touched = append(ws.touched, c)
+		if !b.unit[row] {
+			r := &b.rows[row]
+			vals := r.vals
+			for i, c := range r.cols {
+				if !mark[c] {
+					mark[c] = true
+					ws.touched = append(ws.touched, c)
+				}
+				dense[c] -= f * vals[i]
 			}
-			dense[c] -= f * vals[i]
 		}
 		dense[col] = 0
 	}
@@ -348,19 +403,23 @@ func (b *SparseBasis) addLoaded() (added bool, member int, support []int) {
 		}
 	}
 	// Extract, normalize and sort the residual row. A retired row left
-	// behind by Reset (beyond len, within cap) donates its storage, so
-	// panel-style reuse (Reset + re-Add) settles into zero allocations.
+	// behind by Reset or CopyFrom (beyond len, within cap) donates its
+	// storage, so panel-style reuse (Reset + re-Add) settles into zero
+	// allocations. The storage must hold the residual's nonzeros, which
+	// bound the row's entries; the touched columns also count the pivot
+	// columns reduce zeroed.
 	pv := b.ws.dense[pivotCol]
 	var newRow sparseRow
 	if cap(b.rows) > member {
 		newRow = b.rows[:member+1][member]
-		newRow.cols = newRow.cols[:0]
-		newRow.vals = newRow.vals[:0]
 	}
-	if cap(newRow.cols) < len(b.ws.touched) {
-		newRow.cols = make([]int, 0, len(b.ws.touched))
-		newRow.vals = make([]float64, 0, len(b.ws.touched))
+	nnz := 0
+	for _, j := range b.ws.touched {
+		if b.ws.dense[j] != 0 {
+			nnz++
+		}
 	}
+	newRow.cols, newRow.vals = rowStorage(newRow.cols, newRow.vals, nnz)
 	for _, j := range b.ws.touched {
 		// touched is unsorted; gather then sort once below.
 		x := b.ws.dense[j] / pv
@@ -379,14 +438,18 @@ func (b *SparseBasis) addLoaded() (added bool, member int, support []int) {
 		combo[k] /= pv
 	}
 
-	// Restore the RREF invariant: clear pivotCol from existing rows.
-	for i := range b.rows {
+	// Restore the RREF invariant: clear pivotCol from existing rows. Only
+	// the colCnt[pivotCol] rows holding it change, so the scan stops at the
+	// last of them (the rank bound only guards against a miscount).
+	for i, holders := 0, b.colCnt[pivotCol]; holders > 0 && i < len(b.rows); i++ {
 		r := &b.rows[i]
 		f := r.at(pivotCol)
 		if nearZero(f, b.tol) {
 			continue
 		}
-		b.mergeCols, b.mergeVals = r.axpy(-f, &newRow, b.tol, b.mergeCols, b.mergeVals)
+		holders--
+		b.axpy(r, -f, &newRow)
+		b.unit[i] = r.isUnit(b.pivots[i])
 		if b.rankOnly {
 			continue
 		}
@@ -401,33 +464,17 @@ func (b *SparseBasis) addLoaded() (added bool, member int, support []int) {
 		b.combos[i] = ci
 	}
 
+	for _, c := range newRow.cols {
+		b.colCnt[c]++
+	}
 	b.rows = append(b.rows, newRow)
 	b.pivots = append(b.pivots, pivotCol)
+	b.unit = append(b.unit, newRow.isUnit(pivotCol))
 	b.pivotOf[pivotCol] = member
 	if !b.rankOnly {
 		b.combos = append(b.combos, combo)
 	}
 	return true, member, nil
-}
-
-// Clone returns a deep copy of the basis, so speculative additions can be
-// explored without mutating the original.
-func (b *SparseBasis) Clone() *SparseBasis {
-	c := newSparseBasis(b.dim, b.tol, b.rankOnly)
-	c.rows = make([]sparseRow, len(b.rows))
-	c.combos = make([][]float64, len(b.combos))
-	c.pivots = append([]int{}, b.pivots...)
-	copy(c.pivotOf, b.pivotOf)
-	for i := range b.rows {
-		c.rows[i] = sparseRow{
-			cols: append([]int{}, b.rows[i].cols...),
-			vals: append([]float64{}, b.rows[i].vals...),
-		}
-	}
-	for i := range b.combos {
-		c.combos[i] = append([]float64{}, b.combos[i]...)
-	}
-	return c
 }
 
 // at returns the value at column c (0 when absent) via binary search.
@@ -447,17 +494,34 @@ func (r *sparseRow) at(c int) float64 {
 	return 0
 }
 
-// axpy performs r += f·other with merge semantics, dropping entries within
-// tol of zero. The merge lands in the caller-provided scratch slices; the
-// row's previous storage is returned as the next call's scratch, so a warm
-// caller never allocates.
-func (r *sparseRow) axpy(f float64, other *sparseRow, tol float64, scratchCols []int, scratchVals []float64) ([]int, []float64) {
-	cols := scratchCols[:0]
-	vals := scratchVals[:0]
-	if need := len(r.cols) + other.nnz(); cap(cols) < need {
-		cols = make([]int, 0, need)
-		vals = make([]float64, 0, need)
+// minRowCap is the least capacity row storage is allocated with. Reduced
+// rows mostly hold one or two entries, and a row's storage passes to other
+// rows (CopyFrom writes row i into whatever buffer slot i holds, and a
+// retired row's buffer takes the next new row), so a common floor lets
+// almost any buffer serve almost any row.
+const minRowCap = 4
+
+// rowStorage returns cols and vals emptied, or new storage when they cannot
+// hold n entries. A row's two slices always share one capacity.
+func rowStorage(cols []int, vals []float64, n int) ([]int, []float64) {
+	if cap(cols) < n {
+		n = max(n, minRowCap)
+		return make([]int, 0, n), make([]float64, 0, n)
 	}
+	return cols[:0], vals[:0]
+}
+
+// isUnit reports whether the row's only entry sits in column pivot.
+func (r *sparseRow) isUnit(pivot int) bool { return len(r.cols) == 1 && r.cols[0] == pivot }
+
+// axpy performs r += f·other on a stored row with merge semantics, dropping
+// entries within tol of zero and keeping colCnt in step: one more holder
+// per kept fill-in, one fewer per cancelled entry. The merge lands in the
+// basis's merge scratch and is copied back into the row, so a warm basis
+// allocates here only when a row outgrows its storage.
+func (b *SparseBasis) axpy(r *sparseRow, f float64, other *sparseRow) {
+	tol := b.tol
+	cols, vals := rowStorage(b.mergeCols, b.mergeVals, len(r.cols)+other.nnz())
 	i, j := 0, 0
 	for i < len(r.cols) || j < len(other.cols) {
 		switch {
@@ -470,6 +534,7 @@ func (r *sparseRow) axpy(f float64, other *sparseRow, tol float64, scratchCols [
 			if !nearZero(x, tol) {
 				cols = append(cols, other.cols[j])
 				vals = append(vals, x)
+				b.colCnt[other.cols[j]]++
 			}
 			j++
 		default:
@@ -477,14 +542,19 @@ func (r *sparseRow) axpy(f float64, other *sparseRow, tol float64, scratchCols [
 			if !nearZero(x, tol) {
 				cols = append(cols, r.cols[i])
 				vals = append(vals, x)
+			} else {
+				b.colCnt[r.cols[i]]--
 			}
 			i++
 			j++
 		}
 	}
-	oldCols, oldVals := r.cols, r.vals
-	r.cols, r.vals = cols, vals
-	return oldCols[:0], oldVals[:0]
+	// Copy the merge back into the row's own storage, so the scratch keeps
+	// its capacity and the row its buffer.
+	b.mergeCols, b.mergeVals = cols, vals
+	r.cols, r.vals = rowStorage(r.cols, r.vals, len(cols))
+	r.cols = append(r.cols, cols...)
+	r.vals = append(r.vals, vals...)
 }
 
 func sortSparse(r *sparseRow) {

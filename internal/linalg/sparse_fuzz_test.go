@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"robusttomo/internal/routing"
@@ -76,13 +77,40 @@ func yenSeedRows(f *testing.F, monitors, k int, disjoint bool) (dim int, rows []
 	return tp.Graph.NumEdges(), rows
 }
 
+// checkSummaries fails unless b's unit flags and column counts match a
+// recount of its stored rows.
+func checkSummaries(t *testing.T, b *SparseBasis) {
+	t.Helper()
+	if len(b.unit) != len(b.rows) {
+		t.Fatalf("%d unit flags for %d rows", len(b.unit), len(b.rows))
+	}
+	cnt := make([]int32, b.dim)
+	for i := range b.rows {
+		r := &b.rows[i]
+		for _, c := range r.cols {
+			cnt[c]++
+		}
+		if want := len(r.cols) == 1 && r.cols[0] == b.pivots[i]; b.unit[i] != want {
+			t.Fatalf("row %d (pivot %d, cols %v): unit flag %v, want %v", i, b.pivots[i], r.cols, b.unit[i], want)
+		}
+	}
+	if !slices.Equal(cnt, b.colCnt) {
+		t.Fatalf("colCnt %v, recount %v", b.colCnt, cnt)
+	}
+}
+
 // FuzzSparseVsExactRank drives random 0/1 matrices through SparseBasis, in
 // both support-tracking and rank-only mode, against the exact big.Rat rank.
 // Invariants: every Add accepts its row exactly when the exact rank of the
 // row prefix rises, the final rank equals RankExact of the matrix, and the
 // final basis holds one single-entry row per column j whose unit vector
 // e_j lies in the exact row space (RankExact unchanged by appending e_j),
-// the identifiability count RankAndIdentifiable reads off UnitRows.
+// the identifiability count RankAndIdentifiable reads off UnitRows. Before
+// every row, each basis is also copied with CopyFrom into a recycled target
+// of the other mode that last held other rows (the matrix's rows in reverse
+// at first, then the previous copy plus one row); the copy must accept the
+// row exactly when its source does. After every Add, the unit flags and
+// column counts of every basis and copy match a recount of its rows.
 //
 // The seed corpus holds the monitor-star triangle and the four-path hub
 // instance (rows that cancel mod 2 but are rationally independent), random
@@ -118,15 +146,29 @@ func FuzzSparseVsExactRank(f *testing.F) {
 			return
 		}
 		bases := []*SparseBasis{NewSparseBasis(m.Cols()), NewSparseBasisRankOnly(m.Cols())}
+		copies := []*SparseBasis{NewSparseBasisRankOnly(m.Cols()), NewSparseBasis(m.Cols())}
+		for _, c := range copies {
+			for r := m.Rows() - 1; r >= 0; r-- {
+				c.Add(sparse(m.Row(r)))
+			}
+		}
 		prefix := make([]int, 0, m.Rows())
 		exact := 0
 		for r := 0; r < m.Rows(); r++ {
 			prefix = append(prefix, r)
 			next := RankExact(m.SelectRows(prefix))
-			for _, b := range bases {
-				if added, _, _ := b.Add(sparse(m.Row(r))); added != (next > exact) {
+			for k, b := range bases {
+				c := copies[k]
+				c.CopyFrom(b)
+				added, _, _ := b.Add(sparse(m.Row(r)))
+				if added != (next > exact) {
 					t.Fatalf("row %d: Add accepted=%v, exact prefix rank %d -> %d", r, added, exact, next)
 				}
+				if copied, _, _ := c.Add(sparse(m.Row(r))); copied != added {
+					t.Fatalf("row %d: copy accepted=%v, its source %v", r, copied, added)
+				}
+				checkSummaries(t, b)
+				checkSummaries(t, c)
 			}
 			exact = next
 		}

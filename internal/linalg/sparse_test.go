@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -200,10 +201,18 @@ func TestSparseBasisBasics(t *testing.T) {
 	}
 }
 
+// A CopyFrom target that held other rows becomes an isolated clone of the
+// source: it shares no storage with it.
 func TestSparseBasisCloneIsolated(t *testing.T) {
 	b := NewSparseBasis(3)
 	b.Add(sparse([]float64{1, 1, 0}))
-	c := b.Clone()
+	c := NewSparseBasis(3)
+	c.Add(sparse([]float64{0, 1, 1}))
+	c.Add(sparse([]float64{0, 1, 0}))
+	c.CopyFrom(b)
+	if c.Rank() != 1 {
+		t.Fatalf("copy rank = %d, want 1", c.Rank())
+	}
 	if added, _, _ := c.Add(sparse([]float64{0, 0, 1})); !added {
 		t.Fatal("clone rejected independent vector")
 	}
@@ -228,12 +237,17 @@ func TestSparseBasisDimMismatchPanics(t *testing.T) {
 }
 
 func TestSparseRowAxpy(t *testing.T) {
+	b := NewSparseBasis(6)
 	r := sparseRow{cols: []int{1, 3}, vals: []float64{2, 4}}
+	b.colCnt[1], b.colCnt[3] = 1, 1 // as if r were stored
 	other := sparseRow{cols: []int{0, 3, 5}, vals: []float64{1, -4, 2}}
-	r.axpy(1, &other, DefaultTol, nil, nil)
+	b.axpy(&r, 1, &other)
 	// Expect: col0=1, col1=2, col3=0 (dropped), col5=2.
 	if r.nnz() != 3 {
 		t.Fatalf("nnz = %d: %+v", r.nnz(), r)
+	}
+	if want := []int32{1, 1, 0, 0, 0, 1}; !slices.Equal(b.colCnt, want) {
+		t.Fatalf("colCnt = %v after axpy, want %v (fill-ins counted, the cancelled entry dropped)", b.colCnt, want)
 	}
 	if r.at(0) != 1 || r.at(1) != 2 || r.at(3) != 0 || r.at(5) != 2 {
 		t.Fatalf("axpy result: %+v", r)
@@ -306,9 +320,9 @@ func BenchmarkSparseBasisAddPathLike(b *testing.B) {
 // basis is pre-sized to dim at construction, so Add never pays a growth
 // reallocation when the member count crosses a previous capacity (the
 // regression this pins down), and warm Dependent probes with a support
-// scratch allocate nothing at all. Clones keep their source's mode: a tracking clone keeps
-// the pre-sized scratch, a rank-only clone (one per Monte Carlo class
-// split) allocates none.
+// scratch allocate nothing at all. A CopyFrom target keeps its own
+// scratch: a rank-only target (one per Monte Carlo class split) still has
+// none after copying either mode.
 func TestSparseBasisScratchPresized(t *testing.T) {
 	dim := 48
 	b := NewSparseBasis(dim)
@@ -327,18 +341,50 @@ func TestSparseBasisScratchPresized(t *testing.T) {
 			t.Fatalf("after %d adds scratch regrew to %d/%d", j+1, cap(b.factorsScratch), cap(b.coeffsScratch))
 		}
 	}
-	if c := b.Clone(); cap(c.factorsScratch) != dim || cap(c.coeffsScratch) != dim {
-		t.Fatalf("tracking clone scratch caps = %d/%d, want %d", cap(c.factorsScratch), cap(c.coeffsScratch), dim)
-	}
 	ro := NewSparseBasisRankOnly(dim)
 	if cap(ro.factorsScratch) != 0 || cap(ro.coeffsScratch) != 0 {
 		t.Fatal("rank-only basis pays for scratch it never uses")
 	}
 	v[0] = 1
 	ro.Add(sparse(v))
-	if c := ro.Clone(); cap(c.factorsScratch) != 0 || cap(c.coeffsScratch) != 0 {
-		t.Fatalf("rank-only clone scratch caps = %d/%d, want 0", cap(c.factorsScratch), cap(c.coeffsScratch))
+	for _, src := range []*SparseBasis{ro, b} {
+		c := NewSparseBasisRankOnly(dim)
+		c.CopyFrom(src)
+		if cap(c.factorsScratch) != 0 || cap(c.coeffsScratch) != 0 {
+			t.Fatalf("rank-only copy target scratch caps = %d/%d, want 0", cap(c.factorsScratch), cap(c.coeffsScratch))
+		}
 	}
+}
+
+// CopyFrom into a recycled target reuses its storage: copying into a
+// target that has held rows as long as the source's allocates nothing, and
+// the copy's row headers keep room for the one-row Add that follows a
+// Monte Carlo class split. A dimension mismatch panics.
+func TestSparseBasisCopyFromRecycles(t *testing.T) {
+	dim := 40
+	m := randomBinaryMatrix(rand.New(rand.NewPCG(5, 6)), 2*dim, dim, 0.15)
+	src := NewSparseBasisRankOnly(dim)
+	r := 0
+	for ; src.Rank() < dim/2; r++ {
+		src.Add(sparse(m.Row(r)))
+	}
+	dst := NewSparseBasisRankOnly(dim)
+	dst.CopyFrom(src)
+	if cap(dst.rows) <= dst.Rank() {
+		t.Fatalf("copy of rank %d has row-header capacity %d: the next Add regrows it", dst.Rank(), cap(dst.rows))
+	}
+	for ; dst.Rank() == src.Rank(); r++ {
+		dst.Add(sparse(m.Row(r)))
+	}
+	if avg := testing.AllocsPerRun(50, func() { dst.CopyFrom(src) }); avg != 0 {
+		t.Errorf("CopyFrom into a warm target allocates %.2f allocs/op, want 0", avg)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CopyFrom across dimensions should panic")
+		}
+	}()
+	NewSparseBasisRankOnly(dim + 1).CopyFrom(src)
 }
 
 func TestSparseBasisDependentScratchAllocFree(t *testing.T) {

@@ -328,8 +328,9 @@ func (j *selJob) Run(ctx context.Context, reg *obs.Registry) (engine.Result, err
 			}
 			sampler = src
 		}
-		rng := stats.NewRNG(j.seed, mcStream)
-		res, err = RoMe(pm, j.costs, j.budget, er.NewMonteCarloInc(pm, sampler, j.mcRuns, rng), opts)
+		oracle := er.NewMonteCarloInc(pm, sampler, j.mcRuns, stats.NewRNG(j.seed, mcStream))
+		res, err = RoMe(pm, j.costs, j.budget, oracle, opts)
+		oracle.Release()
 	case AlgMatRoMe:
 		res, err = MatRoMe(pm, er.Availabilities(pm, model), int(j.budget))
 	case AlgSelectPath:

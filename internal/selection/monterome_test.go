@@ -1,7 +1,9 @@
 package selection
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"robusttomo/internal/er"
@@ -122,5 +124,53 @@ func TestMonteRoMeDeterministic(t *testing.T) {
 	sameResult(t, "repeat run", r1, r2)
 	if r1.SpeculativeEvaluations != 0 {
 		t.Fatalf("serial greedy reported %d speculative evaluations", r1.SpeculativeEvaluations)
+	}
+}
+
+// Released oracles hand their class bases to a pool that concurrent
+// MonteRoMe runs share. Four goroutines each build an oracle, run RoMe and
+// Release it, three times over, on seeds paired across goroutines: every
+// run must match a run from the same seed on an oracle that was never
+// released, whichever recycled bases it drew. Run under -race in CI.
+func TestMonteRoMeConcurrentRelease(t *testing.T) {
+	pm, model, costs := rocketfuelSelection(t, 110, 9)
+	run := func(seed uint64, release bool) (Result, error) {
+		oracle := er.NewMonteCarloInc(pm, model, 256, rand.New(rand.NewPCG(seed, 1)))
+		res, err := RoMe(pm, costs, 22, oracle, NewOptions())
+		if release {
+			oracle.Release()
+		}
+		return res, err
+	}
+	const goroutines, rounds = 4, 3
+	results := make([][]Result, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				res, err := run(uint64(g%2), true)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				results[g] = append(results[g], res)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range goroutines {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		want, err := run(uint64(g%2), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, got := range results[g] {
+			sameResult(t, fmt.Sprintf("goroutine %d round %d", g, r), got, want)
+		}
 	}
 }

@@ -13,7 +13,8 @@ type simMetrics struct {
 
 	// epochs counts completed Step calls; degradedEpochs the subset whose
 	// collection was partial; lostPaths the selected paths that produced no
-	// measurement across those epochs.
+	// measurement across those epochs, plus the non-finite samples dropped
+	// in any epoch.
 	epochs         *obs.Counter
 	degradedEpochs *obs.Counter
 	lostPaths      *obs.Counter
@@ -45,7 +46,7 @@ func newSimMetrics(reg *obs.Registry) *simMetrics {
 		degradedEpochs: reg.Counter("tomo_sim_degraded_epochs_total",
 			"Epochs absorbed with partial measurement collection."),
 		lostPaths: reg.Counter("tomo_sim_lost_paths_total",
-			"Selected paths that produced no measurement (collector-side loss)."),
+			"Selected paths that produced no measurement (collector-side loss), plus dropped non-finite samples."),
 		lateFolded: reg.Counter("tomo_sim_late_folded_total",
 			"Late measurements from earlier epochs folded into the aggregator."),
 		epochSeconds: reg.Histogram("tomo_sim_epoch_seconds",

@@ -3,13 +3,13 @@ package sim
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
 	"robusttomo/internal/agent"
 	"robusttomo/internal/failure"
 	"robusttomo/internal/graph"
+	"robusttomo/internal/obs"
 	"robusttomo/internal/routing"
 	"robusttomo/internal/tomo"
 	"robusttomo/internal/topo"
@@ -184,11 +184,13 @@ func (c *nanCollector) CollectAssembled(ctx context.Context, epoch int, selected
 	return out, err
 }
 
-// One NaN measurement poisons its path's running mean; Estimates must
-// return the error naming it, not NaN metrics.
+// One NaN measurement would poison its path's running mean for good. The
+// runner drops it instead, counting it as a lost path of its epoch and in
+// the lost-paths metric, and the loop runs on: Estimates stays finite.
 func TestEstimatesRejectNaNMeasurement(t *testing.T) {
 	cfg := exampleConfig(t, Static)
 	cfg.Horizon = 20
+	cfg.Observer = obs.New()
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -196,11 +198,30 @@ func TestEstimatesRejectNaNMeasurement(t *testing.T) {
 	if err := r.UseCollector(&nanCollector{inner: r.collector, epoch: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(context.Background(), cfg.Horizon); err != nil {
+	reports, err := r.Run(context.Background(), cfg.Horizon)
+	if err != nil {
 		t.Fatal(err)
 	}
+	for _, rep := range reports {
+		want := 0
+		if rep.Epoch == 3 {
+			want = 1
+		}
+		if rep.Collection.LostPaths != want {
+			t.Fatalf("epoch %d reports %d lost paths, want %d", rep.Epoch, rep.Collection.LostPaths, want)
+		}
+	}
+	lost := cfg.Observer.Counter("tomo_sim_lost_paths_total", "").Value()
+	if lost != 1 {
+		t.Fatalf("lost-paths metric = %d, want 1", lost)
+	}
 	values, ident, err := r.Estimates(1, 1e-6)
-	if err == nil || !strings.Contains(err.Error(), "NaN") {
-		t.Fatalf("Estimates = %v, %v, %v; want an error naming the NaN measurement", values, ident, err)
+	if err != nil {
+		t.Fatalf("Estimates: %v", err)
+	}
+	for j, v := range values {
+		if ident[j] && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			t.Fatalf("link %d estimated as %v", j, v)
+		}
 	}
 }

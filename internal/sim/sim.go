@@ -100,7 +100,8 @@ type CollectionHealth struct {
 	// Attempts sums the connection attempts spent on failed monitors.
 	Attempts int
 	// LostPaths counts selected paths that produced no measurement
-	// (collector-side loss, on top of network-side probe failures).
+	// (collector-side loss, on top of network-side probe failures), plus
+	// NaN or infinite samples dropped before the aggregator.
 	LostPaths int
 	// LateFolded counts late measurements from earlier epochs a streaming
 	// collector delivered with this epoch, folded into the aggregator.
@@ -290,8 +291,11 @@ func (r *Runner) Step(ctx context.Context) (EpochReport, error) {
 		if m.OK {
 			avail[m.PathID] = true
 			surviving = append(surviving, m.PathID)
-			if err := r.agg.Observe(m.PathID, m.Value); err != nil {
-				return EpochReport{}, err
+			if r.agg.Observe(m.PathID, m.Value) != nil {
+				// A NaN or infinite value, which binary probe frames carry
+				// verbatim: the path answered, but its sample is dropped
+				// and counted lost rather than stopping the loop.
+				report.Collection.LostPaths++
 			}
 		}
 	}
@@ -311,7 +315,6 @@ func (r *Runner) Step(ctx context.Context) (EpochReport, error) {
 			}
 		}
 		r.m.degradedEpochs.Inc()
-		r.m.lostPaths.Add(uint64(report.Collection.LostPaths))
 	}
 	// Late measurements are genuine observations of their origin epoch's
 	// network: fold the successful ones into the aggregator (sharper
@@ -321,14 +324,16 @@ func (r *Runner) Step(ctx context.Context) (EpochReport, error) {
 		if !lm.OK || lm.PathID < 0 || lm.PathID >= r.cfg.PM.NumPaths() {
 			continue
 		}
-		if err := r.agg.Observe(lm.PathID, lm.Value); err != nil {
-			return EpochReport{}, err
+		if r.agg.Observe(lm.PathID, lm.Value) != nil {
+			report.Collection.LostPaths++ // non-finite, dropped as above
+			continue
 		}
 		report.Collection.LateFolded++
 	}
 	if report.Collection.LateFolded > 0 {
 		r.m.lateFolded.Add(uint64(report.Collection.LateFolded))
 	}
+	r.m.lostPaths.Add(uint64(report.Collection.LostPaths))
 	report.Survived = len(surviving)
 	report.Rank, report.Identifiable = r.cfg.PM.RankAndIdentifiable(surviving)
 

@@ -30,10 +30,15 @@ func NewAggregator(paths int) (*Aggregator, error) {
 	}, nil
 }
 
-// Observe records one epoch's measurement for a path.
+// Observe records one epoch's measurement for a path. A NaN or infinite
+// value is an error and leaves the path's statistics as they were: folded
+// in, it would turn the running mean non-finite for good.
 func (a *Aggregator) Observe(path int, value float64) error {
 	if path < 0 || path >= len(a.count) {
 		return fmt.Errorf("tomo: path %d out of range [0,%d)", path, len(a.count))
+	}
+	if math.IsNaN(value) || math.IsInf(value, 0) {
+		return fmt.Errorf("tomo: measurement of path %d is %v", path, value)
 	}
 	a.count[path]++
 	delta := value - a.mean[path]

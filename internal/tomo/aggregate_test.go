@@ -3,6 +3,7 @@ package tomo
 import (
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -52,6 +53,23 @@ func TestAggregatorObserveValidation(t *testing.T) {
 	}
 	if err := a.Observe(1, 1); err == nil {
 		t.Fatal("out-of-range path accepted")
+	}
+}
+
+// A NaN or infinite sample is an error naming the path and leaves the
+// path's count, mean and spread untouched.
+func TestAggregatorRejectsNonFinite(t *testing.T) {
+	a, _ := NewAggregator(2)
+	a.Observe(1, 2)
+	a.Observe(1, 4)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := a.Observe(1, bad)
+		if err == nil || !strings.Contains(err.Error(), "path 1") {
+			t.Fatalf("Observe(1, %v) = %v, want an error naming path 1", bad, err)
+		}
+		if m, _ := a.Mean(1); a.Count(1) != 2 || m != 3 || a.StdDev(1) != math.Sqrt2 {
+			t.Fatalf("after %v: count %d, mean %v, std %v; want 2, 3, √2", bad, a.Count(1), m, a.StdDev(1))
+		}
 	}
 }
 

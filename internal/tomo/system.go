@@ -50,10 +50,8 @@ func NewSystemTol(pm *PathMatrix, idx []int, y []float64, tol float64) (*System,
 	if err := pm.checkIndices(idx); err != nil {
 		return nil, err
 	}
-	for k, v := range y {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("tomo: measurement %d (path %d) is %v", k, idx[k], v)
-		}
+	if err := checkFinite(idx, y); err != nil {
+		return nil, err
 	}
 	s := &System{pm: pm, basis: linalg.NewSparseBasisTol(pm.NumLinks(), tol), hasY: y != nil}
 	for k, i := range idx {
@@ -69,6 +67,18 @@ func NewSystemTol(pm *PathMatrix, idx []int, y []float64, tol float64) (*System,
 		}
 	}
 	return s, nil
+}
+
+// checkFinite returns an error naming the first NaN or infinite measurement
+// of y (parallel to idx). One such value would turn every result solved
+// through its row into NaN.
+func checkFinite(idx []int, y []float64) error {
+	for k, v := range y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("tomo: measurement %d (path %d) is %v", k, idx[k], v)
+		}
+	}
+	return nil
 }
 
 // implied evaluates the sparse row (cols, vals) through its representation
@@ -132,11 +142,15 @@ type Reconstructor struct {
 
 // NewReconstructor ingests probed paths and their measurements; dependent
 // probed paths are dropped (their measurements are implied by the rest).
+// Every measurement must be finite.
 func NewReconstructor(pm *PathMatrix, idx []int, y []float64) (*Reconstructor, error) {
 	if len(y) != len(idx) {
 		return nil, fmt.Errorf("tomo: %d measurements for %d paths", len(y), len(idx))
 	}
 	if err := pm.checkIndices(idx); err != nil {
+		return nil, err
+	}
+	if err := checkFinite(idx, y); err != nil {
 		return nil, err
 	}
 	rc := &Reconstructor{pm: pm, basis: linalg.NewSparseBasis(pm.NumLinks())}

@@ -152,6 +152,41 @@ func TestSystemRejectsNonFiniteMeasurements(t *testing.T) {
 	}
 }
 
+// NewReconstructor rejects a NaN or infinite measurement with an error
+// naming it by index and path, instead of reconstructing every path as NaN
+// (the implied value sums c·y over every accepted member, and 0·NaN is
+// NaN). Finite measurements reconstruct every path exactly as before.
+func TestReconstructorRejectsNonFiniteMeasurements(t *testing.T) {
+	_, pm := examplePM(t)
+	x := make([]float64, pm.NumLinks())
+	for i := range x {
+		x[i] = 1 + float64(i)
+	}
+	idx := allIdx(pm)[1:] // measurement k is path k+1's
+	yAll, _ := pm.TrueMeasurements(x)
+	rc, err := NewReconstructor(pm, idx, yAll[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range idx {
+		if got, ok := rc.Reconstruct(i); !ok || got != yAll[i] {
+			t.Fatalf("finite input: path %d reconstructed as %v (%v), want %v", i, got, ok, yAll[i])
+		}
+	}
+	for k, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		at := 6 * k
+		y := append([]float64(nil), yAll[1:]...)
+		y[at] = bad
+		_, err := NewReconstructor(pm, idx, y)
+		if err == nil {
+			t.Fatalf("measurement %v at %d accepted", bad, at)
+		}
+		if want := fmt.Sprintf("measurement %d (path %d) is %v", at, idx[at], bad); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+}
+
 func TestSystemTolReconcilesNoisyRedundancy(t *testing.T) {
 	_, pm := examplePM(t)
 	// Same path twice with measurements differing by less than the

@@ -674,7 +674,9 @@ func SelectRobustPathsMCCtx(ctx context.Context, pm *PathMatrix, model *FailureM
 	}
 	opts := selection.NewOptions()
 	opts.Ctx = ctx
-	return selection.RoMe(pm, costs, budget, er.NewMonteCarloInc(pm, model, runs, rng), opts)
+	oracle := er.NewMonteCarloInc(pm, model, runs, rng)
+	defer oracle.Release()
+	return selection.RoMe(pm, costs, budget, oracle, opts)
 }
 
 // SelectRobustPaths is the non-context one-call happy path: run ProbRoMe
