@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -17,7 +18,7 @@ import (
 // -strict the command exits non-zero when the final epoch was degraded
 // (or, in -fail-fast mode, failed), so scripted health checks can gate on
 // a clean steady state.
-func runCollect(args []string) error {
+func runCollect(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("collect", flag.ContinueOnError)
 	epochs := fs.Int("epochs", 12, "epochs to run")
 	killEpoch := fs.Int("kill-epoch", 4, "epoch at which one monitor is killed (-1: never)")
@@ -57,13 +58,13 @@ func runCollect(args []string) error {
 	}
 	defer d.Close()
 
-	fmt.Printf("fault-tolerant collection on %s: %d monitors, %d selected paths, %d epochs (%s frames)\n",
+	fmt.Fprintf(stdout, "fault-tolerant collection on %s: %d monitors, %d selected paths, %d epochs (%s frames)\n",
 		d.Ex.Graph, len(d.Addrs), len(d.Runner.StaticSelection()), *epochs, enc)
 	if *killEpoch >= 0 {
-		fmt.Printf("monitor %s dies before epoch %d (retries %d, breaker threshold %d, cooldown %v)\n",
+		fmt.Fprintf(stdout, "monitor %s dies before epoch %d (retries %d, breaker threshold %d, cooldown %v)\n",
 			d.Victim, *killEpoch, *retries, *threshold, *cooldown)
 	}
-	fmt.Println("epoch  probed  survived  rank  health")
+	fmt.Fprintln(stdout, "epoch  probed  survived  rank  health")
 	ctx := context.Background()
 	finalDegraded := false
 	for e := 0; e < *epochs; e++ {
@@ -74,7 +75,7 @@ func runCollect(args []string) error {
 		if err != nil {
 			// FailFast mode surfaces degraded epochs as errors; report and
 			// keep going so the breaker arc is still visible.
-			fmt.Printf("%5d  collection failed: %v\n", e, err)
+			fmt.Fprintf(stdout, "%5d  collection failed: %v\n", e, err)
 			finalDegraded = true
 			continue
 		}
@@ -84,22 +85,21 @@ func runCollect(args []string) error {
 			health = fmt.Sprintf("degraded: lost %d path(s) via %s after %d attempt(s)",
 				rep.Collection.LostPaths, strings.Join(rep.Collection.FailedMonitors, ","), rep.Collection.Attempts)
 		}
-		fmt.Printf("%5d  %6d  %8d  %4d  %s\n", rep.Epoch, rep.Probed, rep.Survived, rep.Rank, health)
+		fmt.Fprintf(stdout, "%5d  %6d  %8d  %4d  %s\n", rep.Epoch, rep.Probed, rep.Survived, rep.Rank, health)
 	}
-	fmt.Printf("breakers: %s\n", d.BreakerLine())
+	fmt.Fprintf(stdout, "breakers: %s\n", d.BreakerLine())
 
-	values, ident, err := d.Runner.Estimates(1, 1e-6)
+	_, ident, err := d.Runner.Estimates(1, 1e-6)
 	if err != nil {
 		return err
 	}
 	identified := 0
-	for j := range ident {
-		if ident[j] {
+	for _, ok := range ident {
+		if ok {
 			identified++
-			_ = values[j]
 		}
 	}
-	fmt.Printf("inference from the surviving data: %d/%d links identified\n", identified, d.PM.NumLinks())
+	fmt.Fprintf(stdout, "inference from the surviving data: %d/%d links identified\n", identified, d.PM.NumLinks())
 	if *strict && finalDegraded {
 		return fmt.Errorf("strict: final epoch was degraded")
 	}

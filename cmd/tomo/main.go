@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"robusttomo/internal/diagnose"
@@ -33,41 +34,42 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tomo:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run dispatches one subcommand; everything it prints goes to stdout.
+func run(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("usage: tomo <topo|select|infer|learn|place|simulate|diagnose|collect|serve> [flags]")
 	}
 	switch args[0] {
 	case "topo":
-		return runTopo(args[1:])
+		return runTopo(args[1:], stdout)
 	case "select":
-		return runSelect(args[1:])
+		return runSelect(args[1:], stdout)
 	case "infer":
-		return runInfer(args[1:])
+		return runInfer(args[1:], stdout)
 	case "learn":
-		return runLearn(args[1:])
+		return runLearn(args[1:], stdout)
 	case "place":
-		return runPlace(args[1:])
+		return runPlace(args[1:], stdout)
 	case "simulate":
-		return runSimulate(args[1:])
+		return runSimulate(args[1:], stdout)
 	case "diagnose":
-		return runDiagnose(args[1:])
+		return runDiagnose(args[1:], stdout)
 	case "collect":
-		return runCollect(args[1:])
+		return runCollect(args[1:], stdout)
 	case "serve":
-		return runServe(args[1:], os.Stdout)
+		return runServe(args[1:], stdout)
 	default:
 		return fmt.Errorf("unknown subcommand %q (topo, select, infer, learn, place, simulate, diagnose, collect, serve)", args[0])
 	}
 }
 
-func runDiagnose(args []string) error {
+func runDiagnose(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("diagnose", flag.ContinueOnError)
 	preset := fs.String("preset", topo.AS1755, "topology preset")
 	paths := fs.Int("paths", 100, "candidate path count")
@@ -95,28 +97,28 @@ func runDiagnose(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s with %d probed paths; injected down links:", *preset, in.PM.NumPaths())
+	fmt.Fprintf(stdout, "%s with %d probed paths; injected down links:", *preset, in.PM.NumPaths())
 	for l, down := range scenario.Failed {
 		if down {
-			fmt.Printf(" l%d", l)
+			fmt.Fprintf(stdout, " l%d", l)
 		}
 	}
-	fmt.Printf("\nlocalization: %d links proven up, %d suspects, %d implicated (certainly down)\n",
+	fmt.Fprintf(stdout, "\nlocalization: %d links proven up, %d suspects, %d implicated (certainly down)\n",
 		count(diag.Up), diag.NumSuspect(), diag.NumImplicated())
 	for l, down := range diag.Implicated {
 		if down {
-			fmt.Printf("  implicated: l%d (truly down: %v)\n", l, scenario.Failed[l])
+			fmt.Fprintf(stdout, "  implicated: l%d (truly down: %v)\n", l, scenario.Failed[l])
 		}
 	}
 	expl, err := diagnose.GreedyExplanation(in.PM, obs)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("greedy explanation (%d links):", len(expl))
+	fmt.Fprintf(stdout, "greedy explanation (%d links):", len(expl))
 	for _, l := range expl {
-		fmt.Printf(" l%d", l)
+		fmt.Fprintf(stdout, " l%d", l)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	return nil
 }
 
@@ -130,7 +132,7 @@ func count(bs []bool) int {
 	return n
 }
 
-func runPlace(args []string) error {
+func runPlace(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("place", flag.ContinueOnError)
 	preset := fs.String("preset", topo.AS1755, "topology preset")
 	monitors := fs.Int("monitors", 8, "monitors to place")
@@ -159,15 +161,15 @@ func runPlace(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("placed %d monitors on %s (%d candidates): %s %.2f over %d paths\n",
+	fmt.Fprintf(stdout, "placed %d monitors on %s (%d candidates): %s %.2f over %d paths\n",
 		len(res.Monitors), tp.Name, len(tp.Access), objective, res.Objective, res.Paths)
 	for i, m := range res.Monitors {
-		fmt.Printf("  %2d. %s\n", i+1, tp.Graph.Label(m))
+		fmt.Fprintf(stdout, "  %2d. %s\n", i+1, tp.Graph.Label(m))
 	}
 	return nil
 }
 
-func runSimulate(args []string) error {
+func runSimulate(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	preset := fs.String("preset", topo.AS1755, "topology preset")
 	paths := fs.Int("paths", 100, "candidate path count")
@@ -225,8 +227,8 @@ func runSimulate(args []string) error {
 	if window < 1 {
 		window = 1
 	}
-	fmt.Printf("closed-loop %s mode on %s, %d candidates, budget %.0f\n", *mode, *preset, in.PM.NumPaths(), *mult*basisCost)
-	fmt.Println("epochs       avg rank  avg survived  localized-down events")
+	fmt.Fprintf(stdout, "closed-loop %s mode on %s, %d candidates, budget %.0f\n", *mode, *preset, in.PM.NumPaths(), *mult*basisCost)
+	fmt.Fprintln(stdout, "epochs       avg rank  avg survived  localized-down events")
 	for start := 0; start < len(reports); start += window {
 		end := start + window
 		if end > len(reports) {
@@ -239,7 +241,7 @@ func runSimulate(args []string) error {
 			impl += len(rep.Implicated)
 		}
 		n := float64(end - start)
-		fmt.Printf("%4d–%-4d    %7.2f  %11.2f  %d\n", start+1, end, rank/n, surv/n, impl)
+		fmt.Fprintf(stdout, "%4d–%-4d    %7.2f  %11.2f  %d\n", start+1, end, rank/n, surv/n, impl)
 	}
 	values, ident, err := runner.Estimates(1, 1e-6)
 	if err != nil {
@@ -257,12 +259,12 @@ func runSimulate(args []string) error {
 			maxErr = -d
 		}
 	}
-	fmt.Printf("final inference: %d/%d links identified, max abs error %.2g\n",
+	fmt.Fprintf(stdout, "final inference: %d/%d links identified, max abs error %.2g\n",
 		identified, in.PM.NumLinks(), maxErr)
 	return nil
 }
 
-func runTopo(args []string) error {
+func runTopo(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("topo", flag.ContinueOnError)
 	preset := fs.String("preset", topo.AS1755, "topology preset (AS1755, AS3257, AS1239)")
 	load := fs.String("load", "", "load a Rocketfuel-style weights file instead of a preset")
@@ -286,13 +288,13 @@ func runTopo(args []string) error {
 		return err
 	}
 	deg := tp.Graph.Degrees()
-	fmt.Printf("%s: %s, %d core / %d access routers\n",
+	fmt.Fprintf(stdout, "%s: %s, %d core / %d access routers\n",
 		tp.Name, tp.Graph, len(tp.Core), len(tp.Access))
-	fmt.Printf("degree: min %d, max %d, mean %.2f; connected: %v\n",
+	fmt.Fprintf(stdout, "degree: min %d, max %d, mean %.2f; connected: %v\n",
 		deg.Min, deg.Max, deg.Mean, tp.Graph.Connected())
 	bridges := tp.Graph.Bridges()
 	cutNodes := tp.Graph.ArticulationPoints()
-	fmt.Printf("cut links (bridges): %d of %d; cut routers: %d of %d — single points of failure for tomography\n",
+	fmt.Fprintf(stdout, "cut links (bridges): %d of %d; cut routers: %d of %d — single points of failure for tomography\n",
 		len(bridges), tp.Graph.NumEdges(), len(cutNodes), tp.Graph.NumNodes())
 	if *write != "" {
 		f, err := os.Create(*write)
@@ -303,12 +305,12 @@ func runTopo(args []string) error {
 		if err := tp.Graph.WriteEdgeList(f); err != nil {
 			return err
 		}
-		fmt.Printf("edge list written to %s\n", *write)
+		fmt.Fprintf(stdout, "edge list written to %s\n", *write)
 	}
 	return nil
 }
 
-func runSelect(args []string) error {
+func runSelect(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("select", flag.ContinueOnError)
 	preset := fs.String("preset", topo.AS1755, "topology preset")
 	load := fs.String("load", "", "load a Rocketfuel-style weights file instead of a preset")
@@ -377,15 +379,15 @@ func runSelect(args []string) error {
 	}
 	scenarios := in.Model.SampleN(stats.NewRNG(*seed, 77), sc.Scenarios)
 	ranks, _ := in.EvalMetrics(selected, scenarios, false)
-	fmt.Printf("%s on %s with %d candidates\n", *alg, in.Topology.Name, in.PM.NumPaths())
-	fmt.Printf("budget %.0f (%.2f× basis cost %.0f): selected %d paths, cost %.0f\n",
+	fmt.Fprintf(stdout, "%s on %s with %d candidates\n", *alg, in.Topology.Name, in.PM.NumPaths())
+	fmt.Fprintf(stdout, "budget %.0f (%.2f× basis cost %.0f): selected %d paths, cost %.0f\n",
 		budget, *mult, basisCost, len(selected), total)
-	fmt.Printf("no-failure rank: %d of max %d\n", in.PM.RankOf(selected), in.PM.Rank())
-	fmt.Printf("rank under failures (%d scenarios): %s\n", sc.Scenarios, stats.Summarize(ranks))
+	fmt.Fprintf(stdout, "no-failure rank: %d of max %d\n", in.PM.RankOf(selected), in.PM.Rank())
+	fmt.Fprintf(stdout, "rank under failures (%d scenarios): %s\n", sc.Scenarios, stats.Summarize(ranks))
 	return nil
 }
 
-func runInfer(args []string) error {
+func runInfer(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("infer", flag.ContinueOnError)
 	failures := fs.Int("failures", 1, "concurrent link failures to inject")
 	seed := fs.Uint64("seed", 7, "random seed")
@@ -428,14 +430,14 @@ func runInfer(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("example network: %s, %d candidate paths, rank %d\n", ex.Graph, pm.NumPaths(), pm.Rank())
-	fmt.Printf("injected failures: %d (links:", scenario.NumFailed())
+	fmt.Fprintf(stdout, "example network: %s, %d candidate paths, rank %d\n", ex.Graph, pm.NumPaths(), pm.Rank())
+	fmt.Fprintf(stdout, "injected failures: %d (links:", scenario.NumFailed())
 	for l, down := range scenario.Failed {
 		if down {
-			fmt.Printf(" l%d", l)
+			fmt.Fprintf(stdout, " l%d", l)
 		}
 	}
-	fmt.Println(")")
+	fmt.Fprintln(stdout, ")")
 
 	all := make([]int, pm.NumPaths())
 	for i := range all {
@@ -454,19 +456,19 @@ func runInfer(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("surviving paths: %d/%d, rank %d, identifiable links %d/%d\n",
+	fmt.Fprintf(stdout, "surviving paths: %d/%d, rank %d, identifiable links %d/%d\n",
 		len(surviving), pm.NumPaths(), sys.Rank(), sys.NumIdentifiable(), pm.NumLinks())
 	for j := range metrics {
 		if ident[j] {
-			fmt.Printf("  l%d: inferred %.3f ms (truth %.3f)\n", j, values[j], metrics[j])
+			fmt.Fprintf(stdout, "  l%d: inferred %.3f ms (truth %.3f)\n", j, values[j], metrics[j])
 		} else {
-			fmt.Printf("  l%d: not identifiable (truth %.3f)\n", j, metrics[j])
+			fmt.Fprintf(stdout, "  l%d: not identifiable (truth %.3f)\n", j, metrics[j])
 		}
 	}
 	return nil
 }
 
-func runLearn(args []string) error {
+func runLearn(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("learn", flag.ContinueOnError)
 	preset := fs.String("preset", topo.AS1755, "topology preset")
 	paths := fs.Int("paths", 100, "candidate path count")
@@ -484,6 +486,6 @@ func runLearn(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(fig)
+	fmt.Fprintln(stdout, fig)
 	return nil
 }

@@ -3,10 +3,10 @@ package agent
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math"
+
+	"robusttomo/internal/wire"
 )
 
 // Batched multi-path probe frames: the collection plane's wire format.
@@ -15,12 +15,9 @@ import (
 //
 // Two encodings share the stream and may be mixed frame-by-frame:
 //
-//   - Binary (default): a length-prefixed frame
-//
-//     offset 0      magic byte 0xB5
-//     offset 1      frame type (0x01 probe batch, 0x02 result batch)
-//     offset 2..5   payload length, uint32 big-endian, ≤ maxFrame
-//     offset 6..    payload (fixed-width big-endian fields, layouts below)
+//   - Binary (default): an internal/wire frame under magic byte 0xB5,
+//     frame type 0x01 (probe batch) or 0x02 (result batch), payload
+//     layouts below.
 //
 //   - JSON fallback (debuggability): the same batch as one JSON line,
 //     type "batch" / "batchResult", read through the bounded readLine.
@@ -29,7 +26,7 @@ import (
 // '{' here), so a reader distinguishes the encodings by peeking one byte.
 // Every length and count is validated against what the frame can actually
 // hold before any allocation, so a hostile peer cannot force the reader
-// past maxFrame no matter what lengths it claims.
+// past wire.MaxPayload no matter what lengths it claims.
 
 // Batch message types (JSON fallback encoding).
 const (
@@ -39,15 +36,10 @@ const (
 
 // Binary frame constants.
 const (
-	frameMagic  = 0xB5
-	frameHeader = 6 // magic + type + uint32 length
+	frameMagic = 0xB5
 
 	frameTypeProbe  = 0x01
 	frameTypeResult = 0x02
-
-	// maxFrame bounds one binary frame payload (16 MiB ≈ 600k result
-	// entries): far above any real batch, far below an allocation attack.
-	maxFrame = 1 << 24
 )
 
 // Per-field limits of the binary layout.
@@ -135,10 +127,6 @@ type ResultBatch struct {
 	Results []BatchResult `json:"results"`
 }
 
-// errFrameTooLarge marks a frame rejected for claiming or needing more
-// than maxFrame payload bytes.
-var errFrameTooLarge = errors.New("agent: frame exceeds size bound")
-
 // appendUint16/32/64 are the fixed-width big-endian writers.
 func appendUint16(dst []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(dst, v) }
 func appendUint32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
@@ -158,10 +146,9 @@ func EncodeProbeBatch(dst []byte, enc Encoding, b *ProbeBatch) ([]byte, error) {
 		return dst, fmt.Errorf("agent: monitor name %d bytes (max %d)", len(b.Monitor), maxMonitorName)
 	}
 	start := len(dst)
-	dst = append(dst, frameMagic, frameTypeProbe, 0, 0, 0, 0)
+	dst = wire.Begin(dst, frameMagic, frameTypeProbe)
 	dst = appendUint64(dst, uint64(int64(b.Epoch)))
-	dst = appendUint16(dst, uint16(len(b.Monitor)))
-	dst = append(dst, b.Monitor...)
+	dst = wire.AppendString16(dst, b.Monitor)
 	dst = appendUint32(dst, uint32(len(b.Paths)))
 	for i := range b.Paths {
 		p := &b.Paths[i]
@@ -180,7 +167,7 @@ func EncodeProbeBatch(dst []byte, enc Encoding, b *ProbeBatch) ([]byte, error) {
 			dst = appendUint32(dst, uint32(l))
 		}
 	}
-	return sealFrame(dst, start)
+	return wire.Seal(dst, start)
 }
 
 // EncodeResultBatch appends b's wire form (in enc encoding) to dst. The
@@ -198,10 +185,9 @@ func EncodeResultBatch(dst []byte, enc Encoding, b *ResultBatch) ([]byte, error)
 		return dst, fmt.Errorf("agent: monitor name %d bytes (max %d)", len(b.Monitor), maxMonitorName)
 	}
 	start := len(dst)
-	dst = append(dst, frameMagic, frameTypeResult, 0, 0, 0, 0)
+	dst = wire.Begin(dst, frameMagic, frameTypeResult)
 	dst = appendUint64(dst, uint64(int64(b.Epoch)))
-	dst = appendUint16(dst, uint16(len(b.Monitor)))
-	dst = append(dst, b.Monitor...)
+	dst = wire.AppendString16(dst, b.Monitor)
 	dst = appendUint32(dst, uint32(len(b.Results)))
 	for i := range b.Results {
 		r := &b.Results[i]
@@ -216,156 +202,53 @@ func EncodeResultBatch(dst []byte, enc Encoding, b *ResultBatch) ([]byte, error)
 		dst = append(dst, flag)
 		dst = appendUint64(dst, math.Float64bits(r.Value))
 	}
-	return sealFrame(dst, start)
-}
-
-// sealFrame back-patches the payload length of the frame that started at
-// start, rejecting payloads beyond maxFrame.
-func sealFrame(dst []byte, start int) ([]byte, error) {
-	payload := len(dst) - start - frameHeader
-	if payload > maxFrame {
-		return dst[:start], fmt.Errorf("%w: %d-byte payload", errFrameTooLarge, payload)
-	}
-	binary.BigEndian.PutUint32(dst[start+2:start+6], uint32(payload))
-	return dst, nil
-}
-
-// frameDecoder walks a binary frame payload with bounds checking.
-type frameDecoder struct {
-	buf []byte
-	off int
-}
-
-var errFrameTruncated = errors.New("agent: truncated frame")
-
-func (d *frameDecoder) remaining() int { return len(d.buf) - d.off }
-
-func (d *frameDecoder) uint16() (uint16, error) {
-	if d.remaining() < 2 {
-		return 0, errFrameTruncated
-	}
-	v := binary.BigEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v, nil
-}
-
-func (d *frameDecoder) uint32() (uint32, error) {
-	if d.remaining() < 4 {
-		return 0, errFrameTruncated
-	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *frameDecoder) uint64() (uint64, error) {
-	if d.remaining() < 8 {
-		return 0, errFrameTruncated
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *frameDecoder) byte() (byte, error) {
-	if d.remaining() < 1 {
-		return 0, errFrameTruncated
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *frameDecoder) bytes(n int) ([]byte, error) {
-	if n < 0 || d.remaining() < n {
-		return nil, errFrameTruncated
-	}
-	v := d.buf[d.off : d.off+n]
-	d.off += n
-	return v, nil
-}
-
-// header reads the shared epoch + monitor-name prefix of both batch
-// payloads.
-func (d *frameDecoder) header() (epoch int, monitor string, err error) {
-	e, err := d.uint64()
-	if err != nil {
-		return 0, "", err
-	}
-	nameLen, err := d.uint16()
-	if err != nil {
-		return 0, "", err
-	}
-	name, err := d.bytes(int(nameLen))
-	if err != nil {
-		return 0, "", err
-	}
-	return int(int64(e)), string(name), nil
+	return wire.Seal(dst, start)
 }
 
 // decodeProbeBatch decodes a binary probe-batch payload. Entry counts are
 // validated against the bytes actually present before any allocation.
 func decodeProbeBatch(payload []byte) (*ProbeBatch, error) {
-	d := frameDecoder{buf: payload}
-	epoch, monitor, err := d.header()
-	if err != nil {
+	c := wire.NewCursor(payload)
+	epoch, monitor := int(int64(c.Uint64())), c.String16()
+	count := c.Uint32()
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	count, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if int64(count) > maxBatchEntries || int(count)*probeEntryMin > d.remaining() {
-		return nil, fmt.Errorf("agent: probe batch claims %d paths in %d bytes", count, d.remaining())
+	if int64(count) > maxBatchEntries || int(count)*probeEntryMin > c.Remaining() {
+		return nil, fmt.Errorf("agent: probe batch claims %d paths in %d bytes", count, c.Remaining())
 	}
 	b := &ProbeBatch{Type: MsgBatch, Epoch: epoch, Monitor: monitor, Paths: make([]BatchPath, count)}
 	for i := range b.Paths {
-		id, err := d.uint32()
-		if err != nil {
-			return nil, err
-		}
-		nlinks, err := d.uint16()
-		if err != nil {
-			return nil, err
-		}
-		if int(nlinks)*4 > d.remaining() {
-			return nil, fmt.Errorf("agent: path entry claims %d links in %d bytes", nlinks, d.remaining())
+		id, nlinks := c.Uint32(), c.Uint16()
+		if int(nlinks)*4 > c.Remaining() {
+			return nil, fmt.Errorf("agent: path entry claims %d links in %d bytes", nlinks, c.Remaining())
 		}
 		links := make([]int, nlinks)
 		for j := range links {
-			l, err := d.uint32()
-			if err != nil {
-				return nil, err
-			}
-			links[j] = int(l)
+			links[j] = int(c.Uint32())
 		}
 		b.Paths[i] = BatchPath{PathID: int(id), Links: links}
 	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("agent: %d trailing bytes after probe batch", d.remaining())
+	if err := c.Done("probe batch"); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
 
 // decodeResultBatch decodes a binary result-batch payload.
 func decodeResultBatch(payload []byte) (*ResultBatch, error) {
-	d := frameDecoder{buf: payload}
-	epoch, monitor, err := d.header()
-	if err != nil {
+	c := wire.NewCursor(payload)
+	epoch, monitor := int(int64(c.Uint64())), c.String16()
+	count := c.Uint32()
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	count, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if int64(count) > maxBatchEntries || int(count)*resultEntrySize != d.remaining() {
-		return nil, fmt.Errorf("agent: result batch claims %d results in %d bytes", count, d.remaining())
+	if int64(count) > maxBatchEntries || int(count)*resultEntrySize != c.Remaining() {
+		return nil, fmt.Errorf("agent: result batch claims %d results in %d bytes", count, c.Remaining())
 	}
 	b := &ResultBatch{Type: MsgBatchResult, Epoch: epoch, Monitor: monitor, Results: make([]BatchResult, count)}
 	for i := range b.Results {
-		id, _ := d.uint32()
-		flag, _ := d.byte()
-		bits, _ := d.uint64()
+		id, flag, bits := c.Uint32(), c.Byte(), c.Uint64()
 		b.Results[i] = BatchResult{PathID: int(id), OK: flag != 0, Value: math.Float64frombits(bits)}
 	}
 	return b, nil
@@ -409,31 +292,18 @@ func readMessage(r *bufio.Reader) (any, error) {
 	}
 }
 
-// readBinaryFrame reads one length-prefixed binary frame. The claimed
-// payload length is checked against maxFrame before any allocation, so a
-// hostile 4 GiB length prefix costs nothing.
+// readBinaryFrame reads one binary batch frame.
 func readBinaryFrame(r *bufio.Reader) (any, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	typ, payload, err := wire.ReadFrame(r, frameMagic)
+	if err != nil {
 		return nil, err
 	}
-	if hdr[0] != frameMagic {
-		return nil, fmt.Errorf("agent: bad frame magic 0x%02x", hdr[0])
-	}
-	size := binary.BigEndian.Uint32(hdr[2:6])
-	if size > maxFrame {
-		return nil, fmt.Errorf("%w: claimed %d-byte payload", errFrameTooLarge, size)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("agent: short frame payload: %w", err)
-	}
-	switch hdr[1] {
+	switch typ {
 	case frameTypeProbe:
 		return decodeProbeBatch(payload)
 	case frameTypeResult:
 		return decodeResultBatch(payload)
 	default:
-		return nil, fmt.Errorf("agent: unknown binary frame type 0x%02x", hdr[1])
+		return nil, fmt.Errorf("agent: unknown binary frame type 0x%02x", typ)
 	}
 }

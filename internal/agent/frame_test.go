@@ -153,7 +153,7 @@ func TestMixedBinaryJSONStream(t *testing.T) {
 }
 
 // TestBinaryFrameBounds exercises the hostile-length defenses: a claimed
-// payload beyond maxFrame is rejected from the 6-byte header alone, and
+// payload beyond wire.MaxPayload is rejected from the 6-byte header alone, and
 // entry counts that cannot fit the actual payload are rejected before
 // allocation.
 func TestBinaryFrameBounds(t *testing.T) {

@@ -56,7 +56,7 @@ func FuzzWireFrame(f *testing.F) {
 // FuzzBatchFrame throws arbitrary bytes at the unified readMessage reader
 // — the surface that accepts binary batch frames and JSON batch lines on
 // one stream. Invariants: no panic, no oversized acceptance (claimed frame
-// lengths past maxFrame are rejected from the header alone), and every
+// lengths past wire.MaxPayload are rejected from the header alone), and every
 // decoded message is one of the known types.
 func FuzzBatchFrame(f *testing.F) {
 	// Well-formed frames in both encodings.

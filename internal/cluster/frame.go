@@ -2,21 +2,14 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
+
+	"robusttomo/internal/wire"
 )
 
-// Peer protocol wire format, following the internal/agent wire-codec
-// discipline: length-prefixed binary frames with fixed-width big-endian
-// fields, every claimed length validated against the bytes actually
-// present before any allocation.
-//
-//	offset 0      magic byte 0xC9
-//	offset 1      frame type (0x01 request, 0x02 response)
-//	offset 2..5   payload length, uint32 big-endian, ≤ maxPeerFrame
-//	offset 6..    payload
+// Peer protocol wire format: internal/wire frames (header, size bound and
+// bounded cursor) under magic byte 0xC9, frame type 0x01 (request) or
+// 0x02 (response).
 //
 // Request payload:
 //
@@ -35,15 +28,10 @@ import (
 
 // Binary peer-frame constants.
 const (
-	peerMagic  = 0xC9
-	peerHeader = 6 // magic + type + uint32 length
+	peerMagic = 0xC9
 
 	peerFrameRequest  = 0x01
 	peerFrameResponse = 0x02
-
-	// maxPeerFrame bounds one frame payload: far above any real job spec
-	// or result, far below an allocation attack.
-	maxPeerFrame = 1 << 24
 
 	maxPeerString = 1<<16 - 1 // key / origin / error are uint16-prefixed
 
@@ -129,24 +117,20 @@ type PeerRequest struct {
 	Key string
 	// Origin names the submitting node, for diagnostics and stats.
 	Origin string
-	// Spec is the JSON-encoded service.JobSpec of an exec request.
+	// Spec is the JSON-encoded service.JobSpec of an exec request. A
+	// decoded Spec is a view of its frame's payload.
 	Spec []byte
 }
 
 // PeerResponse is one decoded peer-protocol response.
 type PeerResponse struct {
 	Status PeerStatus
-	// Payload carries the result bytes (exec, cache hit) or stats JSON.
+	// Payload carries the result bytes (exec, cache hit) or stats JSON. A
+	// decoded Payload is a view of its frame's payload.
 	Payload []byte
 	// Err explains failed and overloaded statuses.
 	Err string
 }
-
-// Frame-shape errors.
-var (
-	errPeerFrameTooLarge = errors.New("cluster: peer frame exceeds size bound")
-	errPeerTruncated     = errors.New("cluster: truncated peer frame")
-)
 
 // EncodePeerRequest appends req's wire form to dst and returns the
 // extended slice; dst is returned unchanged on error.
@@ -163,19 +147,16 @@ func EncodePeerRequest(dst []byte, req *PeerRequest) ([]byte, error) {
 		return dst, fmt.Errorf("cluster: origin %d bytes (max %d)", len(req.Origin), maxPeerString)
 	}
 	start := len(dst)
-	dst = append(dst, peerMagic, peerFrameRequest, 0, 0, 0, 0)
+	dst = wire.Begin(dst, peerMagic, peerFrameRequest)
 	flags := byte(0)
 	if req.Forwarded {
 		flags |= peerFlagForwarded
 	}
 	dst = append(dst, byte(req.Op), flags)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Key)))
-	dst = append(dst, req.Key...)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Origin)))
-	dst = append(dst, req.Origin...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(req.Spec)))
-	dst = append(dst, req.Spec...)
-	return sealPeerFrame(dst, start)
+	dst = wire.AppendString16(dst, req.Key)
+	dst = wire.AppendString16(dst, req.Origin)
+	dst = wire.AppendBlob32(dst, req.Spec)
+	return wire.Seal(dst, start)
 }
 
 // EncodePeerResponse appends resp's wire form to dst and returns the
@@ -190,191 +171,66 @@ func EncodePeerResponse(dst []byte, resp *PeerResponse) ([]byte, error) {
 		return dst, fmt.Errorf("cluster: error string %d bytes (max %d)", len(resp.Err), maxPeerString)
 	}
 	start := len(dst)
-	dst = append(dst, peerMagic, peerFrameResponse, 0, 0, 0, 0)
+	dst = wire.Begin(dst, peerMagic, peerFrameResponse)
 	dst = append(dst, byte(resp.Status))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(resp.Err)))
-	dst = append(dst, resp.Err...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(resp.Payload)))
-	dst = append(dst, resp.Payload...)
-	return sealPeerFrame(dst, start)
-}
-
-// sealPeerFrame back-patches the payload length of the frame that
-// started at start, rejecting payloads beyond maxPeerFrame.
-func sealPeerFrame(dst []byte, start int) ([]byte, error) {
-	payload := len(dst) - start - peerHeader
-	if payload > maxPeerFrame {
-		return dst[:start], fmt.Errorf("%w: %d-byte payload", errPeerFrameTooLarge, payload)
-	}
-	binary.BigEndian.PutUint32(dst[start+2:start+6], uint32(payload))
-	return dst, nil
-}
-
-// peerDecoder walks a frame payload with bounds checking.
-type peerDecoder struct {
-	buf []byte
-	off int
-}
-
-func (d *peerDecoder) remaining() int { return len(d.buf) - d.off }
-
-func (d *peerDecoder) byte() (byte, error) {
-	if d.remaining() < 1 {
-		return 0, errPeerTruncated
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *peerDecoder) uint16() (uint16, error) {
-	if d.remaining() < 2 {
-		return 0, errPeerTruncated
-	}
-	v := binary.BigEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v, nil
-}
-
-func (d *peerDecoder) uint32() (uint32, error) {
-	if d.remaining() < 4 {
-		return 0, errPeerTruncated
-	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *peerDecoder) bytes(n int) ([]byte, error) {
-	if n < 0 || d.remaining() < n {
-		return nil, errPeerTruncated
-	}
-	v := d.buf[d.off : d.off+n]
-	d.off += n
-	return v, nil
-}
-
-// string16 reads a uint16-prefixed string.
-func (d *peerDecoder) string16() (string, error) {
-	n, err := d.uint16()
-	if err != nil {
-		return "", err
-	}
-	b, err := d.bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// bytes32 reads a uint32-prefixed byte blob, validated against the
-// bytes actually present before allocating the copy.
-func (d *peerDecoder) bytes32() ([]byte, error) {
-	n, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if int64(n) > int64(d.remaining()) {
-		return nil, fmt.Errorf("cluster: blob claims %d bytes in %d", n, d.remaining())
-	}
-	b, err := d.bytes(int(n))
-	if err != nil {
-		return nil, err
-	}
-	if len(b) == 0 {
-		return nil, nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
+	dst = wire.AppendString16(dst, resp.Err)
+	dst = wire.AppendBlob32(dst, resp.Payload)
+	return wire.Seal(dst, start)
 }
 
 // decodePeerRequest decodes a request frame payload.
 func decodePeerRequest(payload []byte) (*PeerRequest, error) {
-	d := peerDecoder{buf: payload}
-	op, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch PeerOp(op) {
+	c := wire.NewCursor(payload)
+	op, flags := PeerOp(c.Byte()), c.Byte()
+	switch op {
 	case OpExec, OpCacheProbe, OpStats, OpPing:
 	default:
-		return nil, fmt.Errorf("cluster: unknown peer op 0x%02x", op)
-	}
-	flags, err := d.byte()
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: unknown peer op 0x%02x", byte(op))
 	}
 	if flags&^byte(peerFlagsKnown) != 0 {
 		return nil, fmt.Errorf("cluster: unknown request flags 0x%02x", flags)
 	}
-	req := &PeerRequest{Op: PeerOp(op), Forwarded: flags&peerFlagForwarded != 0}
-	if req.Key, err = d.string16(); err != nil {
+	req := &PeerRequest{Op: op, Forwarded: flags&peerFlagForwarded != 0}
+	req.Key = c.String16()
+	req.Origin = c.String16()
+	req.Spec = c.Blob32()
+	if err := c.Done("peer request"); err != nil {
 		return nil, err
-	}
-	if req.Origin, err = d.string16(); err != nil {
-		return nil, err
-	}
-	if req.Spec, err = d.bytes32(); err != nil {
-		return nil, err
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after peer request", d.remaining())
 	}
 	return req, nil
 }
 
 // decodePeerResponse decodes a response frame payload.
 func decodePeerResponse(payload []byte) (*PeerResponse, error) {
-	d := peerDecoder{buf: payload}
-	status, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch PeerStatus(status) {
+	c := wire.NewCursor(payload)
+	status := PeerStatus(c.Byte())
+	switch status {
 	case StatusOK, StatusMiss, StatusFailed, StatusOverloaded:
 	default:
-		return nil, fmt.Errorf("cluster: unknown peer status 0x%02x", status)
+		return nil, fmt.Errorf("cluster: unknown peer status 0x%02x", byte(status))
 	}
-	resp := &PeerResponse{Status: PeerStatus(status)}
-	if resp.Err, err = d.string16(); err != nil {
+	resp := &PeerResponse{Status: status}
+	resp.Err = c.String16()
+	resp.Payload = c.Blob32()
+	if err := c.Done("peer response"); err != nil {
 		return nil, err
-	}
-	if resp.Payload, err = d.bytes32(); err != nil {
-		return nil, err
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after peer response", d.remaining())
 	}
 	return resp, nil
 }
 
-// ReadPeerFrame reads one length-prefixed peer frame from r and returns
-// the decoded *PeerRequest or *PeerResponse. The claimed payload length
-// is checked against maxPeerFrame before any allocation, so a hostile
-// 4 GiB length prefix costs nothing.
+// ReadPeerFrame reads one peer frame from r and returns the decoded
+// *PeerRequest or *PeerResponse.
 func ReadPeerFrame(r *bufio.Reader) (any, error) {
-	var hdr [peerHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	typ, payload, err := wire.ReadFrame(r, peerMagic)
+	if err != nil {
 		return nil, err
 	}
-	if hdr[0] != peerMagic {
-		return nil, fmt.Errorf("cluster: bad peer frame magic 0x%02x", hdr[0])
-	}
-	size := binary.BigEndian.Uint32(hdr[2:6])
-	if size > maxPeerFrame {
-		return nil, fmt.Errorf("%w: claimed %d-byte payload", errPeerFrameTooLarge, size)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("cluster: short peer frame payload: %w", err)
-	}
-	switch hdr[1] {
+	switch typ {
 	case peerFrameRequest:
 		return decodePeerRequest(payload)
 	case peerFrameResponse:
 		return decodePeerResponse(payload)
 	default:
-		return nil, fmt.Errorf("cluster: unknown peer frame type 0x%02x", hdr[1])
+		return nil, fmt.Errorf("cluster: unknown peer frame type 0x%02x", typ)
 	}
 }

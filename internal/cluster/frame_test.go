@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"robusttomo/internal/wire"
 )
 
 func decodeOne(t *testing.T, frame []byte) any {
@@ -117,10 +119,10 @@ func TestPeerFrameRejections(t *testing.T) {
 	})
 	t.Run("oversized claim", func(t *testing.T) {
 		bad := append([]byte(nil), valid...)
-		binary.BigEndian.PutUint32(bad[2:6], maxPeerFrame+1)
+		binary.BigEndian.PutUint32(bad[2:6], wire.MaxPayload+1)
 		_, err := ReadPeerFrame(bufio.NewReader(bytes.NewReader(bad)))
-		if !errors.Is(err, errPeerFrameTooLarge) {
-			t.Fatalf("oversized claim: %v, want errPeerFrameTooLarge", err)
+		if !errors.Is(err, wire.ErrTooLarge) {
+			t.Fatalf("oversized claim: %v, want wire.ErrTooLarge", err)
 		}
 	})
 	t.Run("truncated payload", func(t *testing.T) {
@@ -130,14 +132,14 @@ func TestPeerFrameRejections(t *testing.T) {
 	})
 	t.Run("unknown op", func(t *testing.T) {
 		bad := append([]byte(nil), valid...)
-		bad[peerHeader] = 0x7F
+		bad[wire.HeaderSize] = 0x7F
 		if _, err := ReadPeerFrame(bufio.NewReader(bytes.NewReader(bad))); err == nil {
 			t.Fatal("accepted unknown op")
 		}
 	})
 	t.Run("unknown flags", func(t *testing.T) {
 		bad := append([]byte(nil), valid...)
-		bad[peerHeader+1] = 0x80
+		bad[wire.HeaderSize+1] = 0x80
 		if _, err := ReadPeerFrame(bufio.NewReader(bytes.NewReader(bad))); err == nil {
 			t.Fatal("accepted undefined flag bits")
 		}
@@ -145,7 +147,7 @@ func TestPeerFrameRejections(t *testing.T) {
 	t.Run("trailing bytes", func(t *testing.T) {
 		bad := append([]byte(nil), valid...)
 		bad = append(bad, 0xFF)
-		binary.BigEndian.PutUint32(bad[2:6], uint32(len(bad)-peerHeader))
+		binary.BigEndian.PutUint32(bad[2:6], uint32(len(bad)-wire.HeaderSize))
 		if _, err := ReadPeerFrame(bufio.NewReader(bytes.NewReader(bad))); err == nil {
 			t.Fatal("accepted trailing bytes inside the payload")
 		}

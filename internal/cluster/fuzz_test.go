@@ -7,10 +7,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"robusttomo/internal/wire"
 )
 
 // FuzzPeerFrame throws arbitrary bytes at the peer-frame reader: it
-// must never panic, never accept a payload past maxPeerFrame, and any
+// must never panic, never accept a payload past wire.MaxPayload, and any
 // frame it does accept must re-encode to the identical bytes (the codec
 // has one canonical form). This is the surface a hostile or corrupted
 // peer reaches first.
@@ -54,7 +56,7 @@ func FuzzPeerFrame(f *testing.F) {
 			t.Fatalf("accepted frame failed to re-encode: %v", err)
 		}
 		size := binary.BigEndian.Uint32(data[2:6])
-		whole := data[:peerHeader+int(size)]
+		whole := data[:wire.HeaderSize+int(size)]
 		if !bytes.Equal(reenc, whole) {
 			t.Fatalf("accepted frame is not canonical:\n in  %x\n out %x", whole, reenc)
 		}
